@@ -49,7 +49,7 @@
 // can be referenced by many jobs (JobSpec.MatrixID).
 //
 // The cmd/esrbench tool reproduces every table and figure of the paper's
-// evaluation; see DESIGN.md and EXPERIMENTS.md. See README.md for a
+// evaluation; see README.md, "Other binaries". README.md also has a
 // quickstart covering the library, the daemon, and failure schedules, plus a
 // map of the internal/ packages.
 package esr

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -106,6 +107,54 @@ func TestSolveValidation(t *testing.T) {
 	rect.Add(0, 0, 1)
 	if _, err := Solve(rect.ToCSR(), rhs(2), Config{}); err == nil {
 		t.Fatal("non-square must fail")
+	}
+}
+
+// TestSolveRejectsMalformedMatrix pins structural validation at prepare:
+// a row with unsorted columns, an out-of-range column or a backwards row
+// pointer is an invalid-argument error naming the row, not a panicking rank
+// or a silent non-converged solve.
+func TestSolveRejectsMalformedMatrix(t *testing.T) {
+	// The 4x4 SPD tridiagonal matrix tridiag(-1, 4, -1).
+	tridiag := func() *Matrix {
+		return &Matrix{
+			Rows: 4, Cols: 4,
+			RowPtr: []int{0, 2, 5, 8, 10},
+			Col:    []int{0, 1, 0, 1, 2, 1, 2, 3, 2, 3},
+			Val:    []float64{4, -1, -1, 4, -1, -1, 4, -1, -1, 4},
+		}
+	}
+	if _, err := Solve(tridiag(), rhs(4), Config{Ranks: 2}); err != nil {
+		t.Fatalf("well-formed matrix: %v", err)
+	}
+	unsorted := tridiag()
+	copy(unsorted.Col[2:5], []int{2, 1, 0}) // row 1 lists columns {2,1,0}
+	copy(unsorted.Val[2:5], []float64{-1, 4, -1})
+	outOfRange := tridiag()
+	outOfRange.Col[9] = 7 // row 3 lists columns {2,7}
+	backwards := tridiag()
+	backwards.RowPtr[2] = 1 // row 1 ends before it starts
+	for _, tc := range []struct {
+		name string
+		a    *Matrix
+		row  string
+	}{
+		{"unsorted columns", unsorted, "row 1:"},
+		{"out-of-range column", outOfRange, "row 3:"},
+		{"non-monotone row pointers", backwards, "row 1:"},
+	} {
+		for _, ranks := range []int{1, 2, 4} {
+			_, err := Solve(tc.a, rhs(4), Config{Ranks: ranks})
+			if !errors.Is(err, ErrInvalidArgument) {
+				t.Fatalf("%s, %d ranks: want an invalid-argument error, got %v", tc.name, ranks, err)
+			}
+			if !strings.Contains(err.Error(), tc.row) {
+				t.Fatalf("%s, %d ranks: error %q does not name %q", tc.name, ranks, err, tc.row)
+			}
+			if _, err := NewSolver(tc.a, WithRanks(ranks)); !errors.Is(err, ErrInvalidArgument) {
+				t.Fatalf("%s, %d ranks: NewSolver: want an invalid-argument error, got %v", tc.name, ranks, err)
+			}
+		}
 	}
 }
 

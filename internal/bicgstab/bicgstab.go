@@ -2,7 +2,8 @@
 // solver with ESR-style exact state reconstruction: the extension the paper
 // claims in Sec. 1 ("our proposed algorithmic modifications can also be
 // applied to ... preconditioned bi-conjugate gradient stabilized (BiCGSTAB)")
-// without giving details. The derivation (DESIGN.md Sec. 6):
+// without giving details. The derivation (README.md, "Architecture map",
+// lists the package among the solver variants):
 //
 // BiCGSTAB performs two SpMVs per iteration, on ph = M^{-1} p and
 // sh = M^{-1} s. Keeping the two most recent SpMV-input generations

@@ -3,7 +3,8 @@
 // overlapping node failures (Secs. 2-4), the exact state reconstruction
 // engine (Alg. 2 generalised to multiple failed ranks), and the
 // split-preconditioner variant SPCG. Failure semantics and experiment knobs
-// mirror the paper's Sec. 6/7 setup; see DESIGN.md for the mapping.
+// mirror the paper's Sec. 6/7 setup; see README.md, "Stand-ins for the
+// paper's setup", for the mapping.
 package core
 
 import (

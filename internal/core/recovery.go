@@ -223,7 +223,8 @@ func (ep *episode) runScalars() error {
 }
 
 // runPGather reconstructs p(j)_If and p(j-1)_If on the replacements from
-// the redundant copies, using the tailored recovery context (DESIGN.md):
+// the redundant copies, using the tailored recovery context (README.md,
+// "Stand-ins for the paper's setup"):
 // each replacement derives, from the static plan, which surviving rank holds
 // each element and requests exactly one copy per element.
 func (ep *episode) runPGather() error {

@@ -232,6 +232,9 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkRowPtr(a); err != nil {
+		return nil, err
+	}
 	ps := &Prepared{
 		cfg:    cfg,
 		part:   partition.NewBlockRow(a.Rows, cfg.Ranks),
@@ -247,7 +250,16 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 	err := rt.RunContext(ctx, func(c *cluster.Comm) error {
 		e := distmat.WorldEnv(c)
 		lo, hi := ps.part.Range(e.Pos)
-		m, err := distmat.NewMatrix(e, a.RowBlock(lo, hi), ps.part, cfg.Phi, 0)
+		block := a.RowBlock(lo, hi)
+		// Each rank checks its own rows: the kernels rely on sorted,
+		// in-range columns (block-Jacobi ILU(0) splits each row at its
+		// diagonal).
+		if err := block.CheckValid(); err != nil {
+			err = invalidRows(err, lo)
+			rt.Abort(err)
+			return err
+		}
+		m, err := distmat.NewMatrix(e, block, ps.part, cfg.Phi, 0)
 		if err != nil {
 			// Wake peers blocked in the symbolic exchange instead of
 			// deadlocking the build.
@@ -277,6 +289,33 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 		return nil, err
 	}
 	return ps, nil
+}
+
+// checkRowPtr validates the row-pointer frame of a (storage lengths and
+// monotone row pointers), which the per-rank RowBlock slicing relies on.
+// The rows themselves are checked per rank inside the build.
+func checkRowPtr(a *sparse.CSR) error {
+	if len(a.RowPtr) != a.Rows+1 || a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.Col) || len(a.Col) != len(a.Val) {
+		return xerr.Newf(xerr.InvalidArgument,
+			"esr: matrix storage inconsistent: %d rows, %d row pointers, %d columns, %d values",
+			a.Rows, len(a.RowPtr), len(a.Col), len(a.Val))
+	}
+	for i, p := range a.RowPtr[1:] {
+		if p < a.RowPtr[i] {
+			return xerr.Newf(xerr.InvalidArgument, "esr: matrix row %d: RowPtr not monotone", i)
+		}
+	}
+	return nil
+}
+
+// invalidRows classes a structural defect found in the row block starting
+// at global row lo, naming the row in global numbering.
+func invalidRows(err error, lo int) error {
+	var re *sparse.RowError
+	if errors.As(err, &re) {
+		return xerr.Newf(xerr.InvalidArgument, "esr: matrix row %d: %s", lo+re.Row, re.Reason)
+	}
+	return xerr.Newf(xerr.InvalidArgument, "esr: invalid matrix: %w", err)
 }
 
 // N returns the dimension of the prepared system.

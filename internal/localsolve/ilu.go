@@ -3,6 +3,7 @@ package localsolve
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -10,82 +11,140 @@ import (
 // ILU0 is an incomplete LU factorisation with zero fill-in: L (unit lower)
 // and U share the sparsity pattern of A. This is the approximate local
 // solver the paper uses for the reconstruction subsystem (Sec. 6).
+//
+// The factor is stored split, in the order the sweeps read it: the strictly
+// lower rows in row order (lPtr/lCol/lVal), the strictly upper rows in
+// reverse row order (uPtr/uCol/uVal: reverse position q holds row n-1-q),
+// and the pivots U_ii in piv. Within a row the entries keep A's ascending
+// column order, and column indices are local int32. The forward and the
+// backward sweep therefore each stream one array front to back, and a
+// stored entry costs 12 bytes instead of 16.
+//
+// Determinism contract: every sweep applies, per column, the operation
+// sequence of the textbook CSR sweeps — the row's products subtracted (or,
+// in Multiply, added) in ascending column order, then the division by the
+// pivot — so the split layout and the register tiling of SolveK change no
+// bit of any result.
 type ILU0 struct {
-	n      int
-	rowPtr []int
-	col    []int
-	val    []float64
-	diag   []int // position of the diagonal entry in each row
+	n    int
+	lPtr []int
+	lCol []int32
+	lVal []float64
+	uPtr []int
+	uCol []int32
+	uVal []float64
+	piv  []float64
 }
 
-// NewILU0 factorises the square CSR matrix a in IKJ order. Zero or missing
-// pivots are replaced by a small multiple of the matrix norm to keep the
+// NewILU0 factorises the square CSR matrix a in IKJ order. Rows must hold
+// strictly increasing column indices (the CSR invariant CheckValid
+// verifies), and every row needs a diagonal entry. Zero or missing pivots
+// are replaced by a small multiple of the matrix norm to keep the
 // preconditioner defined (standard practice for incomplete factorisations).
 func NewILU0(a *sparse.CSR) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("localsolve: ILU0 needs a square matrix")
 	}
 	n := a.Rows
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("localsolve: ILU0 block of %d rows exceeds int32 columns", n)
+	}
+	rowPtr, acol, aval := a.RowPtr, a.Col, a.Val
+	// Locate the diagonals: they fix each row's L and U lengths.
+	lPtr := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		d := lo
+		for d < hi && acol[d] < i {
+			d++
+		}
+		if d == hi || acol[d] != i {
+			return nil, fmt.Errorf("localsolve: ILU0 row %d has no diagonal entry", i)
+		}
+		lPtr[i+1] = lPtr[i] + d - lo
+	}
+	// One pass copies A into the split layout. L and U share one backing
+	// array per kind: L fills it from the front, U's rows are placed from
+	// the back, so row 0 ends up last.
+	nL, nOff := lPtr[n], len(acol)-n
+	col := make([]int32, nOff)
+	val := make([]float64, nOff)
 	f := &ILU0{
-		n:      n,
-		rowPtr: append([]int(nil), a.RowPtr...),
-		col:    append([]int(nil), a.Col...),
-		val:    append([]float64(nil), a.Val...),
-		diag:   make([]int, n),
+		n:    n,
+		lPtr: lPtr,
+		lCol: col[:nL:nL],
+		lVal: val[:nL:nL],
+		uPtr: make([]int, n+1),
+		uCol: col[nL:],
+		uVal: val[nL:],
+		piv:  make([]float64, n),
 	}
 	var maxAbs float64
-	for _, v := range f.val {
-		if av := math.Abs(v); av > maxAbs {
-			maxAbs = av
+	q := nOff - nL
+	f.uPtr[n] = q
+	for i := 0; i < n; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		d := lo + lPtr[i+1] - lPtr[i]
+		dst := lPtr[i]
+		for t := lo; t < d; t++ {
+			f.lCol[dst], f.lVal[dst] = int32(acol[t]), aval[t]
+			dst++
+		}
+		q -= hi - d - 1
+		f.uPtr[n-1-i] = q
+		dst = q
+		for t := d + 1; t < hi; t++ {
+			f.uCol[dst], f.uVal[dst] = int32(acol[t]), aval[t]
+			dst++
+		}
+		f.piv[i] = aval[d]
+		for _, v := range aval[lo:hi] {
+			if av := math.Abs(v); av > maxAbs {
+				maxAbs = av
+			}
 		}
 	}
 	eps := 1e-12 * (maxAbs + 1)
-	// Locate diagonals; insert conceptual zero pivots as eps.
+	// Row i is eliminated in a dense work row w; mark[j] == i+1 flags the
+	// columns of row i's pattern, so updates outside it are dropped (no
+	// fill-in) and the marks never need resetting.
+	w := make([]float64, n)
+	mark := make([]int32, n)
 	for i := 0; i < n; i++ {
-		f.diag[i] = -1
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			if f.col[k] == i {
-				f.diag[i] = k
-				break
-			}
+		tag := int32(i + 1)
+		lc, lv := f.lCol[lPtr[i]:lPtr[i+1]], f.lVal[lPtr[i]:lPtr[i+1]]
+		ulo, uhi := f.uPtr[n-1-i], f.uPtr[n-i]
+		uc, uv := f.uCol[ulo:uhi], f.uVal[ulo:uhi]
+		for t, j := range lc {
+			w[j], mark[j] = lv[t], tag
 		}
-		if f.diag[i] < 0 {
-			return nil, fmt.Errorf("localsolve: ILU0 row %d has no diagonal entry", i)
+		w[i], mark[i] = f.piv[i], tag
+		for t, j := range uc {
+			w[j], mark[j] = uv[t], tag
 		}
-	}
-	// colPos[j] caches the position of column j within the current row.
-	colPos := make([]int, n)
-	for j := range colPos {
-		colPos[j] = -1
-	}
-	for i := 0; i < n; i++ {
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			colPos[f.col[k]] = k
-		}
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			j := f.col[k]
-			if j >= i {
-				break // columns sorted: L part exhausted
-			}
-			piv := f.val[f.diag[j]]
+		for t, j := range lc {
+			piv := f.piv[j]
 			if math.Abs(piv) < eps {
 				piv = eps
 			}
-			lij := f.val[k] / piv
-			f.val[k] = lij
+			lij := w[j] / piv
+			lv[t] = lij
 			// Update the remainder of row i with row j of U.
-			for kk := f.diag[j] + 1; kk < f.rowPtr[j+1]; kk++ {
-				jj := f.col[kk]
-				if p := colPos[jj]; p >= 0 {
-					f.val[p] -= lij * f.val[kk]
+			jlo, jhi := f.uPtr[n-1-int(j)], f.uPtr[n-int(j)]
+			jv := f.uVal[jlo:jhi]
+			for tt, jj := range f.uCol[jlo:jhi] {
+				if mark[jj] == tag {
+					w[jj] -= lij * jv[tt]
 				}
 			}
 		}
-		if math.Abs(f.val[f.diag[i]]) < eps {
-			f.val[f.diag[i]] = eps
+		d := w[i]
+		if math.Abs(d) < eps {
+			d = eps
 		}
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			colPos[f.col[k]] = -1
+		f.piv[i] = d
+		for t, j := range uc {
+			uv[t] = w[j]
 		}
 	}
 	return f, nil
@@ -99,32 +158,40 @@ func (f *ILU0) Solve(z, r []float64) {
 	if len(z) != n || len(r) != n {
 		panic("localsolve: ILU0.Solve dimension mismatch")
 	}
+	lPtr, lCol, lVal := f.lPtr, f.lCol, f.lVal
+	uPtr, uCol, uVal, piv := f.uPtr, f.uCol, f.uVal, f.piv[:n]
 	// L y = r (unit diagonal)
 	for i := 0; i < n; i++ {
 		s := r[i]
-		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
-			s -= f.val[k] * z[f.col[k]]
+		lo, hi := lPtr[i], lPtr[i+1]
+		vals := lVal[lo:hi]
+		for t, j := range lCol[lo:hi] {
+			s -= vals[t] * z[j]
 		}
 		z[i] = s
 	}
 	// U x = y
-	for i := n - 1; i >= 0; i-- {
+	for q := 0; q < n; q++ {
+		i := n - 1 - q
 		s := z[i]
-		for k := f.diag[i] + 1; k < f.rowPtr[i+1]; k++ {
-			s -= f.val[k] * z[f.col[k]]
+		lo, hi := uPtr[q], uPtr[q+1]
+		vals := uVal[lo:hi]
+		for t, j := range uCol[lo:hi] {
+			s -= vals[t] * z[j]
 		}
-		z[i] = s / f.val[f.diag[i]]
+		z[i] = s / piv[i]
 	}
 }
 
-// SolveK computes z[c] such that (LU) z[c] = r[c] for every column in ONE
-// sweep over the factor: the rowPtr/diag/col indices and the factor values
-// are loaded once per stored entry and applied to all k columns, where k
-// back-to-back Solve calls would re-walk the index structure k times. The
-// per-column arithmetic is the exact operation sequence of Solve — for each
-// column c, s accumulates the same products in the same stored-entry order
-// — so column c of SolveK is bitwise identical to Solve(z[c], r[c]). z[c]
-// may alias r[c].
+// SolveK computes z[c] such that (LU) z[c] = r[c] for every column, with
+// one pass over the factor per tile of columns: 8-wide tiles, then one
+// 4-wide tile, then single columns. A tile is packed row by row into work
+// blocks (row i's values of the tile's columns side by side), swept in
+// place and unpacked, so a stored entry costs one load of the factor and
+// contiguous loads of the blocks, and the tile's running sums stay in
+// registers. Tiling only regroups independent columns — for each column c
+// the arithmetic is the exact operation sequence of Solve — so column c of
+// SolveK is bitwise identical to Solve(z[c], r[c]). z[c] may alias r[c].
 func (f *ILU0) SolveK(z, r [][]float64) {
 	k := len(z)
 	if k != len(r) {
@@ -136,48 +203,177 @@ func (f *ILU0) SolveK(z, r [][]float64) {
 			panic("localsolve: ILU0.SolveK dimension mismatch")
 		}
 	}
-	// Columns go through in chunks of four with the slice headers hoisted
-	// into locals and the running sums in registers; the remainder falls
-	// back to the single-column sweep. Chunking only regroups independent
-	// columns — each column's arithmetic is untouched.
 	c := 0
-	for ; c+4 <= k; c += 4 {
-		f.solve4(z[c], z[c+1], z[c+2], z[c+3], r[c], r[c+1], r[c+2], r[c+3])
+	if k >= 4 {
+		w := getTile(n)
+		for ; c+8 <= k; c += 8 {
+			f.solve8(z[c:c+8], r[c:c+8], w)
+		}
+		if c+4 <= k {
+			f.solve4(z[c:c+4], r[c:c+4], w)
+			c += 4
+		}
+		tilePool.Put(w)
 	}
 	for ; c < k; c++ {
 		f.Solve(z[c], r[c])
 	}
 }
 
-// solve4 is the width-4 fused sweep behind SolveK: one traversal of the
-// factor's index structure serves four columns.
-func (f *ILU0) solve4(z0, z1, z2, z3, r0, r1, r2, r3 []float64) {
-	n := f.n
-	rowPtr, diag, col, val := f.rowPtr, f.diag, f.col, f.val
-	// L y = r (unit diagonal)
-	for i := 0; i < n; i++ {
-		s0, s1, s2, s3 := r0[i], r1[i], r2[i], r3[i]
-		for p := rowPtr[i]; p < diag[i]; p++ {
-			v, j := val[p], col[p]
-			s0 -= v * z0[j]
-			s1 -= v * z1[j]
-			s2 -= v * z2[j]
-			s3 -= v * z3[j]
-		}
-		z0[i], z1[i], z2[i], z3[i] = s0, s1, s2, s3
+// tile is SolveK's work area: the packed columns of a tile, lanes 0-3 in
+// lo and lanes 4-7 in hi. Two half-width blocks, not one 8-wide block: each
+// has its own bounds check, which splits an 8-wide loop body in two, so
+// that at most four products wait for their sums at a time. The Go compiler
+// moves a loop's carried updates to the end of their block, and eight sums
+// plus eight pending products exceed the fifteen SSE registers it
+// allocates on amd64; the spilled sums then cost a store and a reload on
+// every stored entry.
+type tile struct {
+	lo, hi [][4]float64
+}
+
+// tilePool recycles tiles across calls; a prepared session may run several
+// solves on one factor at once, so the tile cannot live in the factor.
+var tilePool sync.Pool
+
+// getTile returns a tile of at least n rows.
+func getTile(n int) *tile {
+	if w, ok := tilePool.Get().(*tile); ok && len(w.lo) >= n {
+		return w
 	}
-	// U x = y
-	for i := n - 1; i >= 0; i-- {
-		s0, s1, s2, s3 := z0[i], z1[i], z2[i], z3[i]
-		for p := diag[i] + 1; p < rowPtr[i+1]; p++ {
-			v, j := val[p], col[p]
-			s0 -= v * z0[j]
-			s1 -= v * z1[j]
-			s2 -= v * z2[j]
-			s3 -= v * z3[j]
+	return &tile{lo: make([][4]float64, n), hi: make([][4]float64, n)}
+}
+
+// solve8 is the 8-wide tile of SolveK.
+func (f *ILU0) solve8(z, r [][]float64, w *tile) {
+	n := f.n
+	a, b := w.lo[:n], w.hi[:n]
+	pack4(a, r[:4])
+	pack4(b, r[4:8])
+	lower8(a, b, f.lPtr, f.lCol, f.lVal)
+	upper8(a, b, f.uPtr, f.uCol, f.uVal, f.piv)
+	unpack4(z[:4], a)
+	unpack4(z[4:8], b)
+}
+
+// solve4 is the 4-wide tile of SolveK.
+func (f *ILU0) solve4(z, r [][]float64, w *tile) {
+	a := w.lo[:f.n]
+	pack4(a, r)
+	lower4(a, f.lPtr, f.lCol, f.lVal)
+	upper4(a, f.uPtr, f.uCol, f.uVal, f.piv)
+	unpack4(z, a)
+}
+
+// pack4 copies four columns into the rows of a half-width block.
+func pack4(w [][4]float64, r [][]float64) {
+	n := len(w)
+	r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+	for i := range w {
+		w[i] = [4]float64{r0[i], r1[i], r2[i], r3[i]}
+	}
+}
+
+// unpack4 copies the rows of a half-width block out to four columns.
+func unpack4(z [][]float64, w [][4]float64) {
+	n := len(w)
+	z0, z1, z2, z3 := z[0][:n], z[1][:n], z[2][:n], z[3][:n]
+	for i, wi := range w {
+		z0[i], z1[i], z2[i], z3[i] = wi[0], wi[1], wi[2], wi[3]
+	}
+}
+
+// lower8 solves L y = b (unit diagonal) in place for the eight columns
+// packed in a and b.
+func lower8(a, b [][4]float64, ptr []int, col []int32, val []float64) {
+	for i := range a {
+		ai, bi := &a[i], &b[i]
+		s0, s1, s2, s3 := ai[0], ai[1], ai[2], ai[3]
+		s4, s5, s6, s7 := bi[0], bi[1], bi[2], bi[3]
+		lo, hi := ptr[i], ptr[i+1]
+		vals := val[lo:hi]
+		for t, j := range col[lo:hi] {
+			v, aj := vals[t], &a[j]
+			s0 -= v * aj[0]
+			s1 -= v * aj[1]
+			s2 -= v * aj[2]
+			s3 -= v * aj[3]
+			bj := &b[j]
+			s4 -= v * bj[0]
+			s5 -= v * bj[1]
+			s6 -= v * bj[2]
+			s7 -= v * bj[3]
 		}
-		d := val[diag[i]]
-		z0[i], z1[i], z2[i], z3[i] = s0/d, s1/d, s2/d, s3/d
+		*ai = [4]float64{s0, s1, s2, s3}
+		*bi = [4]float64{s4, s5, s6, s7}
+	}
+}
+
+// upper8 solves U x = y in place for the eight columns packed in a and b;
+// U's rows are stored in reverse order.
+func upper8(a, b [][4]float64, ptr []int, col []int32, val, piv []float64) {
+	n := len(a)
+	for q := range a {
+		i := n - 1 - q
+		ai, bi := &a[i], &b[i]
+		s0, s1, s2, s3 := ai[0], ai[1], ai[2], ai[3]
+		s4, s5, s6, s7 := bi[0], bi[1], bi[2], bi[3]
+		lo, hi := ptr[q], ptr[q+1]
+		vals := val[lo:hi]
+		for t, j := range col[lo:hi] {
+			v, aj := vals[t], &a[j]
+			s0 -= v * aj[0]
+			s1 -= v * aj[1]
+			s2 -= v * aj[2]
+			s3 -= v * aj[3]
+			bj := &b[j]
+			s4 -= v * bj[0]
+			s5 -= v * bj[1]
+			s6 -= v * bj[2]
+			s7 -= v * bj[3]
+		}
+		d := piv[i]
+		*ai = [4]float64{s0 / d, s1 / d, s2 / d, s3 / d}
+		*bi = [4]float64{s4 / d, s5 / d, s6 / d, s7 / d}
+	}
+}
+
+// lower4 solves L y = b (unit diagonal) in place for four packed columns.
+func lower4(w [][4]float64, ptr []int, col []int32, val []float64) {
+	for i := range w {
+		wi := &w[i]
+		s0, s1, s2, s3 := wi[0], wi[1], wi[2], wi[3]
+		lo, hi := ptr[i], ptr[i+1]
+		vals := val[lo:hi]
+		for t, j := range col[lo:hi] {
+			v, wj := vals[t], &w[j]
+			s0 -= v * wj[0]
+			s1 -= v * wj[1]
+			s2 -= v * wj[2]
+			s3 -= v * wj[3]
+		}
+		*wi = [4]float64{s0, s1, s2, s3}
+	}
+}
+
+// upper4 solves U x = y in place for four packed columns.
+func upper4(w [][4]float64, ptr []int, col []int32, val, piv []float64) {
+	n := len(w)
+	for q := range w {
+		i := n - 1 - q
+		wi := &w[i]
+		s0, s1, s2, s3 := wi[0], wi[1], wi[2], wi[3]
+		lo, hi := ptr[q], ptr[q+1]
+		vals := val[lo:hi]
+		for t, j := range col[lo:hi] {
+			v, wj := vals[t], &w[j]
+			s0 -= v * wj[0]
+			s1 -= v * wj[1]
+			s2 -= v * wj[2]
+			s3 -= v * wj[3]
+		}
+		d := piv[i]
+		*wi = [4]float64{s0 / d, s1 / d, s2 / d, s3 / d}
 	}
 }
 
@@ -189,20 +385,29 @@ func (f *ILU0) Multiply(y, x []float64) {
 	if len(y) != n || len(x) != n {
 		panic("localsolve: ILU0.Multiply dimension mismatch")
 	}
-	// u = U x
+	uPtr, uCol, uVal, piv := f.uPtr, f.uCol, f.uVal, f.piv[:n]
+	// u = U x: the pivot's product first, then the row's strictly upper
+	// entries, as a CSR row walk from the diagonal would add them.
 	u := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for q := 0; q < n; q++ {
+		i := n - 1 - q
 		var s float64
-		for k := f.diag[i]; k < f.rowPtr[i+1]; k++ {
-			s += f.val[k] * x[f.col[k]]
+		s += piv[i] * x[i]
+		lo, hi := uPtr[q], uPtr[q+1]
+		vals := uVal[lo:hi]
+		for t, j := range uCol[lo:hi] {
+			s += vals[t] * x[j]
 		}
 		u[i] = s
 	}
 	// y = L u (unit diagonal)
+	lPtr, lCol, lVal := f.lPtr, f.lCol, f.lVal
 	for i := 0; i < n; i++ {
 		s := u[i]
-		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
-			s += f.val[k] * u[f.col[k]]
+		lo, hi := lPtr[i], lPtr[i+1]
+		vals := lVal[lo:hi]
+		for t, j := range lCol[lo:hi] {
+			s += vals[t] * u[j]
 		}
 		y[i] = s
 	}

@@ -250,9 +250,20 @@ func (m *CSR) ToDense() []float64 {
 	return d
 }
 
+// RowError reports a structural defect confined to one row of a CSR
+// matrix, so that a caller checking a row block can name the row in its
+// own numbering.
+type RowError struct {
+	Row    int
+	Reason string
+}
+
+func (e *RowError) Error() string { return fmt.Sprintf("sparse: row %d: %s", e.Row, e.Reason) }
+
 // CheckValid verifies structural invariants (monotone RowPtr, sorted strictly
 // increasing column indices within rows, indices within bounds) and returns a
-// descriptive error if any is violated.
+// descriptive error if any is violated; a defect within one row is a
+// *RowError.
 func (m *CSR) CheckValid() error {
 	if len(m.RowPtr) != m.Rows+1 {
 		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
@@ -264,17 +275,16 @@ func (m *CSR) CheckValid() error {
 		return fmt.Errorf("sparse: storage lengths inconsistent")
 	}
 	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
-			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
+		if m.RowPtr[i] > m.RowPtr[i+1] || m.RowPtr[i+1] > len(m.Col) {
+			return &RowError{Row: i, Reason: "RowPtr not monotone"}
 		}
 		prev := -1
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.Col[k]
+		for _, j := range m.Col[m.RowPtr[i]:m.RowPtr[i+1]] {
 			if j < 0 || j >= m.Cols {
-				return fmt.Errorf("sparse: column %d out of range in row %d", j, i)
+				return &RowError{Row: i, Reason: fmt.Sprintf("column %d out of range [0,%d)", j, m.Cols)}
 			}
 			if j <= prev {
-				return fmt.Errorf("sparse: columns not strictly increasing in row %d", i)
+				return &RowError{Row: i, Reason: fmt.Sprintf("columns not strictly increasing (%d after %d)", j, prev)}
 			}
 			prev = j
 		}
