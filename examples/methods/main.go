@@ -90,7 +90,12 @@ func main() {
 		if err != nil {
 			return core.Result{}, err
 		}
-		return core.ESRPCG(e, m, x, b, core.LocalPrecond{P: bj}, core.Options{Tol: 1e-10}, sched)
+		res, errs, err := core.ResilientPCG(e, m, []distmat.Vector{x}, []distmat.Vector{b},
+			core.LocalPrecond{P: bj}, core.Options{Tol: 1e-10}, sched, core.NewESRStrategy())
+		if err == nil {
+			err = errs[0]
+		}
+		return res[0], err
 	})
 	solve("ESR-SPCG (IC0 split)", func(e *distmat.Env, m *distmat.Matrix, x, b distmat.Vector) (core.Result, error) {
 		ic, err := precond.NewIC0Split(m.OwnBlock())

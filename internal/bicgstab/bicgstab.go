@@ -60,7 +60,7 @@ const ctxSubA = 11
 
 // Solve runs the resilient preconditioned BiCGSTAB on A x = b with a
 // node-local block preconditioner m (may be nil for the unpreconditioned
-// method). The failure schedule semantics match core.ESRPCG; phi is taken
+// method). The failure schedule semantics match core.ResilientPCG; phi is taken
 // from the matrix's redundancy protocol.
 func Solve(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m precond.Preconditioner, opts core.Options, sched *faults.Schedule) (core.Result, error) {
 	if m == nil {
@@ -345,11 +345,12 @@ restart:
 			// A_{If,:} sh needs sh at all columns: survivors provide their
 			// entries, replacements exchange their reconstructed blocks
 			// among each other, and the own-block part is local.
-			ghost, err := core.GatherGhost(st.e, st.a, st.sh.Local, failed, failedList, tagSHGhost)
+			ghosts, err := core.GatherGhost(st.e, st.a, [][]float64{st.sh.Local}, failed, failedList, tagSHGhost)
 			if err != nil {
 				return rec, err
 			}
 			if amFailed {
+				ghost := ghosts[0]
 				if err := exchangeAmongFailed(st.e, st.a, st.sh.Local, failed, failedList, ghost); err != nil {
 					return rec, err
 				}
@@ -374,23 +375,15 @@ restart:
 				}
 				continue
 			}
-			ghost, err := core.GatherGhost(st.e, st.a, st.x.Local, failed, failedList, tagXGhost)
+			iters, err := core.SolveCoupled(st.e, st.a, failed, failedList, [][]float64{st.x.Local}, func(int) []float64 {
+				w := append([]float64(nil), st.b.Local...)
+				vec.Axpy(-1, st.r.Local, w)
+				return w
+			}, ctxSubA, tagXGhost, st.opts)
 			if err != nil {
 				return rec, err
 			}
-			if amFailed {
-				w := append([]float64(nil), st.b.Local...)
-				vec.Axpy(-1, st.r.Local, w)
-				neg := make([]float64, len(w))
-				st.a.GhostProduct(neg, ghost)
-				vec.Axpy(-1, neg, w)
-				iters, err := core.SubsystemSolve(st.e, st.a, failedList, w, st.x.Local, ctxSubA,
-					st.opts.LocalTol, st.opts.LocalMaxIter)
-				if err != nil {
-					return rec, err
-				}
-				subIters += iters
-			}
+			subIters += iters
 		case phaseFinalize:
 			iters, err := st.e.Grp.AllreduceScalar(cluster.OpMax, float64(subIters))
 			if err != nil {

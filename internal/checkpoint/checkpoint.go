@@ -23,8 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/distmat"
-	"repro/internal/faults"
 	"repro/internal/vec"
 )
 
@@ -45,9 +43,19 @@ type Store struct {
 	loaded   int64
 }
 
+// snapshot is one rank's part of a checkpoint, one entry per column.
 type snapshot struct {
-	x, r, z, p []float64
-	scalars    [4]float64 // r0, rz, beta, spare
+	x, r, z, p [][]float64
+	scalars    [][4]float64 // r0, rz, beta, spare
+}
+
+// floats is the snapshot's volume in float64 elements.
+func (s snapshot) floats() int {
+	n := 4 * len(s.scalars)
+	for c := range s.x {
+		n += len(s.x[c]) + len(s.r[c]) + len(s.z[c]) + len(s.p[c])
+	}
+	return n
 }
 
 // NewStore creates an empty reliable store accounting its traffic on the
@@ -75,8 +83,7 @@ func (s *Store) save(rank, ranks, iter int, snap snapshot) {
 	}
 	s.pending[rank] = snap
 	if s.counters != nil {
-		vol := len(snap.x) + len(snap.r) + len(snap.z) + len(snap.p) + len(snap.scalars)
-		s.counters.RecordExternal(cluster.CatCheckpoint, 1, vol)
+		s.counters.RecordExternal(cluster.CatCheckpoint, 1, snap.floats())
 	}
 	if len(s.pending) == ranks {
 		s.snaps = s.pending
@@ -93,7 +100,7 @@ func (s *Store) load(rank int) (int, snapshot, bool) {
 	defer s.mu.Unlock()
 	snap, ok := s.snaps[rank]
 	if ok {
-		vol := len(snap.x) + len(snap.r) + len(snap.z) + len(snap.p) + len(snap.scalars)
+		vol := snap.floats()
 		s.loaded += int64(vol)
 		if s.counters != nil {
 			s.counters.RecordExternal(cluster.CatCheckpoint, 1, vol)
@@ -158,11 +165,18 @@ func (s *Strategy) Overhead(st *core.SolverState, j int) error {
 	if j%s.interval != 0 {
 		return nil
 	}
-	s.store.save(st.E.Pos, st.E.Size(), j, snapshot{
-		x: vec.Clone(st.X.Local), r: vec.Clone(st.R.Local),
-		z: vec.Clone(st.Z.Local), p: vec.Clone(st.P.Local),
-		scalars: [4]float64{st.R0, st.RZ, st.Beta, 0},
-	})
+	k := len(st.X)
+	snap := snapshot{
+		x: make([][]float64, k), r: make([][]float64, k),
+		z: make([][]float64, k), p: make([][]float64, k),
+		scalars: make([][4]float64, k),
+	}
+	for c := 0; c < k; c++ {
+		snap.x[c], snap.r[c] = vec.Clone(st.X[c].Local), vec.Clone(st.R[c].Local)
+		snap.z[c], snap.p[c] = vec.Clone(st.Z[c].Local), vec.Clone(st.P[c].Local)
+		snap.scalars[c] = [4]float64{st.R0[c], st.RZ[c], st.Beta[c], 0}
+	}
+	s.store.save(st.E.Pos, st.E.Size(), j, snap)
 	// Coordinated checkpointing: no rank proceeds until the checkpoint is
 	// complete, so every rank sees the same rollback target (this
 	// synchronisation is part of C/R's cost).
@@ -187,13 +201,13 @@ rollback:
 	if !ok {
 		return 0, rec, fmt.Errorf("checkpoint: no checkpoint to roll back to")
 	}
-	copy(st.X.Local, snap.x)
-	copy(st.R.Local, snap.r)
-	copy(st.Z.Local, snap.z)
-	copy(st.P.Local, snap.p)
-	st.R0 = snap.scalars[0]
-	st.RZ = snap.scalars[1]
-	st.Beta = snap.scalars[2]
+	for c := range st.X {
+		copy(st.X[c].Local, snap.x[c])
+		copy(st.R[c].Local, snap.r[c])
+		copy(st.Z[c].Local, snap.z[c])
+		copy(st.P[c].Local, snap.p[c])
+		st.R0[c], st.RZ[c], st.Beta[c] = snap.scalars[c][0], snap.scalars[c][1], snap.scalars[c][2]
+	}
 	resume = iter
 	if err := st.E.Grp.Barrier(); err != nil {
 		return 0, rec, err
@@ -209,24 +223,4 @@ rollback:
 	}
 	rec.Duration = time.Since(startT)
 	return resume, rec, nil
-}
-
-// Options configures the checkpointed PCG run.
-type Options struct {
-	// Core carries the solver tolerances.
-	Core core.Options
-	// Interval is the checkpoint period in iterations (default 10).
-	Interval int
-}
-
-// PCG runs the checkpoint/restart-protected PCG solver: the C/R baseline
-// for the ESR comparison. It is the shared core.ResilientPCG driver fixed to
-// the checkpoint Strategy; failure semantics mirror core.ESRPCG (victims are
-// wiped at the post-SpMV poll point), but recovery rolls *all* ranks back
-// to the last complete checkpoint instead of reconstructing the state.
-func PCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m core.Precond, opts Options, sched *faults.Schedule, store *Store) (core.Result, error) {
-	if store == nil {
-		return core.Result{}, fmt.Errorf("checkpoint: nil store")
-	}
-	return core.ResilientPCG(e, a, x, b, m, opts.Core, sched, NewStrategy(store, opts.Interval))
 }

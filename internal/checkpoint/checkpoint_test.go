@@ -41,11 +41,15 @@ func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interva
 			b.Local[i] = 1 + math.Sin(float64(lo+i)*0.13)
 		}
 		x := distmat.NewVector(p, e.Pos)
-		r, err := PCG(e, m, x, b, core.LocalPrecond{P: bj},
-			Options{Interval: interval, Core: core.Options{Tol: 1e-9}}, sched, store)
+		rs, errs, err := core.ResilientPCG(e, m, []distmat.Vector{x}, []distmat.Vector{b}, core.LocalPrecond{P: bj},
+			core.Options{Tol: 1e-9}, sched, NewStrategy(store, interval))
+		if err == nil {
+			err = errs[0]
+		}
 		if err != nil {
 			return err
 		}
+		r := rs[0]
 		full, err := distmat.Gather(e, x)
 		if err != nil {
 			return err
@@ -164,7 +168,10 @@ func TestCheckpointVolumeExceedsESRRedundancy(t *testing.T) {
 			b.Local[i] = 1
 		}
 		x := distmat.NewVector(p, e.Pos)
-		_, err = core.ESRPCG(e, m, x, b, core.LocalPrecond{P: bj}, core.Options{Tol: 1e-9}, nil)
+		_, errs, err := core.ResilientPCG(e, m, []distmat.Vector{x}, []distmat.Vector{b}, core.LocalPrecond{P: bj}, core.Options{Tol: 1e-9}, nil, nil)
+		if err == nil {
+			err = errs[0]
+		}
 		return err
 	})
 	if err != nil {

@@ -34,7 +34,7 @@ func TestESRWithAdaptiveStrategy(t *testing.T) {
 			b.Local[i] = 1 + 0.13*float64(g%7)
 		}
 		x := distmat.NewVector(p, e.Pos)
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -62,7 +62,7 @@ func TestESRWithAdaptiveStrategy(t *testing.T) {
 			b.Local[i] = 1 + 0.13*float64(g%7)
 		}
 		x := distmat.NewVector(p, e.Pos)
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
 		return res, x, err
 	})
 	if ref.err != nil {
@@ -96,7 +96,7 @@ func TestESRAdaptiveSurvivesContiguousWindows(t *testing.T) {
 				b.Local[i] = 1
 			}
 			x := distmat.NewVector(p, e.Pos)
-			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
+			res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
 			return res, x, err
 		})
 		if out.err != nil {

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/distmat"
+	"repro/internal/faults"
 	"repro/internal/matgen"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -16,9 +18,19 @@ import (
 // TestBlockExplicitInversePrecondBitwise exercises the distributed fused
 // preconditioner path: with an explicit-inverse preconditioner the blocked
 // driver's ApplyBlock fuses the k applications into ONE MatMat halo
-// exchange. Every column of the blocked solve must stay bitwise identical
-// to a solo ESRPCG of that column.
+// exchange, and a failure runs the generic Alg. 2 lines 5-6 (a k-column
+// subsystem solve on P_{If,If}). Every column of the blocked solve must stay
+// bitwise identical to a solo solve of that column, with and without a
+// failure schedule.
 func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
+	for _, sched := range []*faults.Schedule{nil, faults.NewSchedule(faults.Simultaneous(3, 1, 2))} {
+		t.Run(fmt.Sprintf("events=%d", len(sched.Events())), func(t *testing.T) {
+			testBlockExplicitInverse(t, sched)
+		})
+	}
+}
+
+func testBlockExplicitInverse(t *testing.T, sched *faults.Schedule) {
 	a := matgen.Poisson2D(12, 10)
 	n := a.Rows
 	// P: SPD tridiagonal approximate inverse (scaled), as in the solo
@@ -58,12 +70,13 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 	// Solo reference: one ESRPCG per column.
 	solo := make([][]float64, k)
 	soloIters := make([]int, k)
+	soloRecs := make([]int, k)
 	var mu sync.Mutex
 	for c := 0; c < k; c++ {
 		c := c
 		rt := cluster.New(ranks)
 		if err := rt.Run(func(cm *cluster.Comm) error {
-			e, m, x, _, err := setupProblem(cm, a, 0)
+			e, m, x, _, err := setupProblem(cm, a, 2)
 			if err != nil {
 				return err
 			}
@@ -73,7 +86,7 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			res, err := ESRPCG(e, m, x, b, pr, Options{Tol: 1e-9}, nil)
+			res, err := solveOne(e, m, x, b, pr, Options{Tol: 1e-9}, sched)
 			if err != nil {
 				return err
 			}
@@ -85,6 +98,7 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 				mu.Lock()
 				solo[c] = full
 				soloIters[c] = res.Iterations
+				soloRecs[c] = len(res.Reconstructions)
 				mu.Unlock()
 			}
 			return nil
@@ -96,9 +110,10 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 	// One blocked solve of all k columns.
 	blockedX := make([][]float64, k)
 	blockedIters := make([]int, k)
+	blockedRecs := make([]int, k)
 	rt := cluster.New(ranks)
 	if err := rt.Run(func(cm *cluster.Comm) error {
-		e, m, _, _, err := setupProblem(cm, a, 0)
+		e, m, _, _, err := setupProblem(cm, a, 2)
 		if err != nil {
 			return err
 		}
@@ -114,7 +129,7 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		res, colErrs, err := BlockESRPCG(e, m, xs, bs, pr, Options{Tol: 1e-9}, nil)
+		res, colErrs, err := ResilientPCG(e, m, xs, bs, pr, Options{Tol: 1e-9}, sched, nil)
 		if err != nil {
 			return err
 		}
@@ -132,6 +147,7 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 				mu.Lock()
 				blockedX[c] = full
 				blockedIters[c] = res[c].Iterations
+				blockedRecs[c] = len(res[c].Reconstructions)
 				mu.Unlock()
 			}
 		}
@@ -141,6 +157,9 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 	}
 
 	for c := 0; c < k; c++ {
+		if blockedRecs[c] != soloRecs[c] || (sched != nil && soloRecs[c] != 1) {
+			t.Fatalf("column %d: blocked %d reconstructions, solo %d", c, blockedRecs[c], soloRecs[c])
+		}
 		if blockedIters[c] != soloIters[c] {
 			t.Fatalf("column %d: blocked %d iterations, solo %d", c, blockedIters[c], soloIters[c])
 		}

@@ -84,6 +84,16 @@ func blockJacobi(t *testing.T, m *distmat.Matrix) Precond {
 	return LocalPrecond{P: bj}
 }
 
+// solveOne runs the resilient driver on a single column under the ESR
+// strategy: the reference PCG with a nil schedule.
+func solveOne(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, opts Options, sched *faults.Schedule) (Result, error) {
+	res, errs, err := ResilientPCG(e, a, []distmat.Vector{x}, []distmat.Vector{b}, m, opts, sched, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], errs[0]
+}
+
 func seqSolution(t *testing.T, a *sparse.CSR) []float64 {
 	t.Helper()
 	n := a.Rows
@@ -113,7 +123,7 @@ func TestPCGSolvesCatalogue(t *testing.T) {
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := PCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-10})
+				res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-10}, nil)
 				return res, x, err
 			})
 			if out.err != nil {
@@ -168,7 +178,7 @@ func TestPCGWithJacobiAndSSOR(t *testing.T) {
 				case "identity":
 					prec = nil
 				}
-				res, err := PCG(e, m, x, b, prec, Options{Tol: 1e-9})
+				res, err := solveOne(e, m, x, b, prec, Options{Tol: 1e-9}, nil)
 				return res, x, err
 			})
 			if out.err != nil {
@@ -194,7 +204,7 @@ func TestESRWithoutFailuresMatchesPCGBitwise(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := PCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9})
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
 		return res, x, err
 	})
 	if ref.err != nil {
@@ -206,7 +216,7 @@ func TestESRWithoutFailuresMatchesPCGBitwise(t *testing.T) {
 			if err != nil {
 				return Result{}, x, err
 			}
-			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
+			res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
 			return res, x, err
 		})
 		if esr.err != nil {
@@ -240,7 +250,7 @@ func TestESRSingleFailure(t *testing.T) {
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+				res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 				return res, x, err
 			})
 			if out.err != nil {
@@ -283,7 +293,7 @@ func TestESRMultipleSimultaneousFailures(t *testing.T) {
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+				res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 				return res, x, err
 			})
 			if out.err != nil {
@@ -318,7 +328,7 @@ func TestESRReconstructionIsExact(t *testing.T) {
 				return Result{}, x, err
 			}
 			// Tol tiny so the run cannot converge before MaxIter.
-			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m),
+			res, err := solveOne(e, m, x, b, blockJacobi(t, m),
 				Options{Tol: 1e-30, MaxIter: stopAfter, LocalTol: 1e-15}, sched)
 			return res, x, err
 		})
@@ -355,7 +365,7 @@ func TestESROverlappingFailures(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -391,7 +401,7 @@ func TestESRRepeatedEpisodes(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -423,7 +433,7 @@ func TestChenFailsWherePhi2Recovers(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if chen.err == nil {
@@ -439,7 +449,7 @@ func TestChenFailsWherePhi2Recovers(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9},
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9},
 			faults.NewSchedule(faults.Simultaneous(3, 2, 3)))
 		return res, x, err
 	})
@@ -483,7 +493,7 @@ func TestESRExplicitInversePrecond(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, ExplicitInvPrecond{P: pmat}, Options{Tol: 1e-9}, sched)
+		res, err := solveOne(e, m, x, b, ExplicitInvPrecond{P: pmat}, Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -510,7 +520,7 @@ func TestResidualDeviationMetric(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -536,7 +546,7 @@ func TestOverloadedScheduleDetectsDataLoss(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{}, sched)
 		return res, x, err
 	})
 	if out.err == nil {
@@ -556,7 +566,7 @@ func TestESRNeedsResilientMatrixForSchedule(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{}, sched)
+		res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{}, sched)
 		return res, x, err
 	})
 	if out.err == nil {

@@ -136,14 +136,17 @@ func RecoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 	return nil
 }
 
-// GatherGhost collects, on every replacement, the entries of a distributed
-// vector owned by survivors at the ghost columns of the given matrix's
+// GatherGhost collects, on every replacement, the entries of k distributed
+// vectors owned by survivors at the ghost columns of the given matrix's
 // failed rows (the halo needed by the reconstruction products
-// A_{If, I\If} x). Survivors send, replacements receive; the result maps
-// global index -> value on replacements (nil on survivors). tag selects the
-// message tag (distinct per use within one recovery).
-func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed map[int]bool, failedList []int, tag int) (map[int]float64, error) {
+// A_{If, I\If} x). Survivors send ONE k-strided frame per replacement (k
+// consecutive values per ghost element; at k = 1 the single-vector frame),
+// replacements receive; the result holds one map global index -> value per
+// column on replacements (nil on survivors). tag selects the message tag
+// (distinct per use within one recovery).
+func GatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int, tag int) ([]map[int]float64, error) {
 	me := e.Pos
+	k := len(locals)
 	if !failed[me] {
 		lo, _ := mat.P.Range(me)
 		for _, f := range failedList {
@@ -151,9 +154,11 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed ma
 			if len(idx) == 0 {
 				continue
 			}
-			vals := make([]float64, len(idx))
+			vals := make([]float64, len(idx)*k)
 			for t, g := range idx {
-				vals[t] = local[g-lo]
+				for c := range locals {
+					vals[t*k+c] = locals[c][g-lo]
+				}
 			}
 			if err := e.C.SendFloats(cluster.CatRecovery, f, tag, vals); err != nil {
 				return nil, err
@@ -161,7 +166,10 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed ma
 		}
 		return nil, nil
 	}
-	ghost := map[int]float64{}
+	ghosts := make([]map[int]float64, k)
+	for c := range ghosts {
+		ghosts[c] = map[int]float64{}
+	}
 	for r := 0; r < e.Size(); r++ {
 		if r == me || failed[r] {
 			continue
@@ -174,22 +182,27 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed ma
 		if err != nil {
 			return nil, err
 		}
-		if len(vals) != len(idx) {
-			return nil, fmt.Errorf("core: ghost gather from %d: %d values, want %d", r, len(vals), len(idx))
+		if len(vals) != len(idx)*k {
+			return nil, fmt.Errorf("core: ghost gather from %d: %d values, want %d", r, len(vals), len(idx)*k)
 		}
 		for t, g := range idx {
-			ghost[g] = vals[t]
+			for c := range ghosts {
+				ghosts[c][g] = vals[t*k+c]
+			}
 		}
 	}
-	return ghost, nil
+	return ghosts, nil
 }
 
-// SubsystemSolve solves mat_{If,If} sol = rhs distributed over the subgroup
-// of failed ranks (each owning its block), with block-local ILU(0)
-// preconditioned CG — the paper's recovery subsystem solver. Only failed
-// ranks participate; survivors must not call it. Returns the iteration
-// count.
-func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol []float64, ctx int, tol float64, maxIter int) (int, error) {
+// SubsystemSolve solves mat_{If,If} sol[c] = rhs[c] for every column,
+// distributed over the subgroup of failed ranks (each owning its block),
+// with block-local ILU(0) preconditioned CG — the paper's recovery
+// subsystem solver. The subsystem environment, matrix and preconditioner
+// are built once and the k systems run through the blocked ResilientPCG,
+// so each column's subsystem trajectory is bitwise that of a solve of the
+// column alone. Only failed ranks participate; survivors must not call it.
+// Returns the largest per-column iteration count.
+func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) (int, error) {
 	sizes := make([]int, len(failedList))
 	var ifIdx []int
 	myPos := -1
@@ -233,15 +246,25 @@ func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, 
 			maxIter = 500
 		}
 	}
-	xf := distmat.NewVector(subP, myPos)
-	bv := distmat.Vector{P: subP, Pos: myPos, Local: rhs}
-	res, err := PCG(subEnv, subA, xf, bv, sub, Options{Tol: tol, MaxIter: maxIter})
+	xs := newVectors(subA, subEnv, len(rhs))
+	bs := make([]distmat.Vector, len(rhs))
+	for c := range rhs {
+		bs[c] = distmat.Vector{P: subP, Pos: myPos, Local: rhs[c]}
+	}
+	res, colErrs, err := ResilientPCG(subEnv, subA, xs, bs, sub, Options{Tol: tol, MaxIter: maxIter}, nil, NewESRStrategy())
 	if err != nil {
 		return 0, err
 	}
-	if !res.Converged && res.RelResidual() > 1e-6 {
-		return res.Iterations, fmt.Errorf("core: reconstruction subsystem stagnated (relres %.2e)", res.RelResidual())
+	iters := 0
+	for c := range res {
+		if colErrs[c] != nil {
+			return 0, colErrs[c]
+		}
+		if !res[c].Converged && res[c].RelResidual() > 1e-6 {
+			return res[c].Iterations, fmt.Errorf("core: reconstruction subsystem stagnated (relres %.2e)", res[c].RelResidual())
+		}
+		copy(sol[c], xs[c].Local)
+		iters = max(iters, res[c].Iterations)
 	}
-	copy(sol, xf.Local)
-	return res.Iterations, nil
+	return iters, nil
 }

@@ -159,9 +159,6 @@ func (o Options) withDefaults(n int) Options {
 	if o.LocalTol <= 0 {
 		o.LocalTol = 1e-14
 	}
-	if o.LocalMaxIter <= 0 {
-		o.LocalMaxIter = 0 // resolved against the subsystem size at use
-	}
 	return o
 }
 

@@ -41,7 +41,7 @@ func TestESRRandomScenariosQuick(t *testing.T) {
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, s)
+				res, err := solveOne(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, s)
 				return res, x, err
 			})
 		}

@@ -139,9 +139,11 @@ func SPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m precond.Spli
 	}
 
 	res.WorkIterations = res.Iterations
-	if err := finishResult(e, a, x, b, &res); err != nil {
+	out := []Result{res}
+	if err := finishResults(e, a, []distmat.Vector{x}, []distmat.Vector{b}, out, opts.Threads); err != nil {
 		return res, err
 	}
+	res = out[0]
 	res.SolveTime = time.Since(start)
 	return res, nil
 }
@@ -172,105 +174,52 @@ func (st *spcgState) wipe() {
 }
 
 // recover reconstructs the SPCG state after the failure of victims at
-// iteration j, with the same phase structure (and overlapping-failure
-// restarts) as the PCG recovery.
+// iteration j, running the PCG episode's phase grid (and overlapping-failure
+// restarts) with the split variant's phases.
 func (st *spcgState) recover(j int, victims []int) (Reconstruction, error) {
-	startT := time.Now()
-	rec := Reconstruction{Iteration: j}
-	ef := NewEpisodeFailures(st.sched, j, st.e.Pos, st.wipe, victims)
-
-restart:
-	failedList := ef.Ranks()
-	rec.FailedRanks = failedList
-	failed := ef.Failed
-	amFailed := ef.AmFailed()
-	subIters := 0
-	for phase := 1; phase <= numPhases; phase++ {
-		if ef.AtPhase(phase) {
-			rec.Restarts++
-			goto restart
-		}
-		switch phase {
-		case phaseScalars:
-			s0 := lowestSurvivorOf(failed, st.e.Size())
-			if st.e.Pos == s0 {
-				for _, f := range failedList {
-					if err := st.e.C.Send(cluster.CatRecovery, f, tagRecScalar, []float64{st.beta, st.r0}, nil); err != nil {
-						return rec, err
-					}
-				}
-			}
-			if amFailed {
-				vals, err := st.e.C.RecvFloats(s0, tagRecScalar)
-				if err != nil {
-					return rec, err
-				}
+	return runEpisode(st.e, st.sched, j, st.wipe, victims, func(ef *EpisodeFailures) func(int) (int, error) {
+		failed, failedList := ef.Failed, ef.Ranks()
+		return func(phase int) (int, error) {
+			switch phase {
+			case phaseScalars:
+				vals := []float64{st.beta, st.r0}
+				err := shareScalars(st.e, failed, failedList, vals)
 				st.beta, st.r0 = vals[0], vals[1]
-			}
-		case phasePGather:
-			gens := []int{j}
-			pPrev := make([]float64, len(st.p.Local))
-			out := [][]float64{st.p.Local}
-			if j > 0 {
-				gens = append(gens, j-1)
-				out = append(out, pPrev)
-			}
-			if err := RecoverBlocks(st.e, st.a, j, failed, failedList, gens, out); err != nil {
-				return rec, err
-			}
-			if amFailed {
-				// zhat = p(j) - beta p(j-1) = L^{-T} rhat(j); block-local
-				// transforms recover rhat and r.
-				zhat := make([]float64, len(st.p.Local))
-				if j == 0 {
-					copy(zhat, st.p.Local)
-				} else {
-					vec.XpayInto(zhat, st.p.Local, -st.beta, pPrev)
+				return 0, err
+			case phasePGather:
+				gens := []int{j}
+				pPrev := make([]float64, len(st.p.Local))
+				out := [][]float64{st.p.Local}
+				if j > 0 {
+					gens = append(gens, j-1)
+					out = append(out, pPrev)
 				}
-				st.m.MulLT(st.rhat.Local, zhat)
-			}
-		case phaseZR:
-			// rhat was already rebuilt in phasePGather (purely local);
-			// nothing distributed happens here for the split variant.
-		case phaseXSystem:
-			ghost, err := GatherGhost(st.e, st.a, st.x.Local, failed, failedList, tagRecXHalo)
-			if err != nil {
-				return rec, err
-			}
-			if amFailed {
-				r := make([]float64, len(st.rhat.Local))
-				st.m.MulL(r, st.rhat.Local) // r_If = L rhat_If
-				w := append([]float64(nil), st.b.Local...)
-				vec.Axpy(-1, r, w)
-				neg := make([]float64, len(w))
-				st.a.GhostProduct(neg, ghost)
-				vec.Axpy(-1, neg, w)
-				iters, err := SubsystemSolve(st.e, st.a, failedList, w, st.x.Local, ctxSubA,
-					st.opts.LocalTol, st.opts.LocalMaxIter)
-				if err != nil {
-					return rec, err
+				if err := RecoverBlocks(st.e, st.a, j, failed, failedList, gens, out); err != nil {
+					return 0, err
 				}
-				subIters += iters
+				if ef.AmFailed() {
+					// zhat = p(j) - beta p(j-1) = L^{-T} rhat(j); block-local
+					// transforms recover rhat and r.
+					zhat := make([]float64, len(st.p.Local))
+					if j == 0 {
+						copy(zhat, st.p.Local)
+					} else {
+						vec.XpayInto(zhat, st.p.Local, -st.beta, pPrev)
+					}
+					st.m.MulLT(st.rhat.Local, zhat)
+				}
+			case phaseXSystem:
+				return SolveCoupled(st.e, st.a, failed, failedList, [][]float64{st.x.Local}, func(int) []float64 {
+					r := make([]float64, len(st.rhat.Local))
+					st.m.MulL(r, st.rhat.Local) // r_If = L rhat_If
+					w := append([]float64(nil), st.b.Local...)
+					vec.Axpy(-1, r, w)
+					return w
+				}, ctxSubA, tagRecXHalo, st.opts)
 			}
-		case phaseFinalize:
-			iters, err := st.e.Grp.AllreduceScalar(cluster.OpMax, float64(subIters))
-			if err != nil {
-				return rec, err
-			}
-			subIters = int(iters)
+			// phaseZR: rhat was already rebuilt in phasePGather (purely
+			// local); nothing distributed happens here for the split variant.
+			return 0, nil
 		}
-	}
-	rec.SubIterations = subIters
-	rec.Duration = time.Since(startT)
-	return rec, nil
-}
-
-// lowestSurvivorOf returns the smallest rank not in failed.
-func lowestSurvivorOf(failed map[int]bool, size int) int {
-	for r := 0; r < size; r++ {
-		if !failed[r] {
-			return r
-		}
-	}
-	return -1
+	})
 }

@@ -108,7 +108,7 @@ func TestSPCGMatchesPCGIterates(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := PCG(e, m, x, b, LocalPrecond{P: ic}, Options{Tol: 1e-10})
+		res, err := solveOne(e, m, x, b, LocalPrecond{P: ic}, Options{Tol: 1e-10}, nil)
 		return res, x, err
 	})
 	if pcg.err != nil {

@@ -95,13 +95,20 @@ func MultiTracer(ts ...Tracer) Tracer {
 	return out
 }
 
+// The iteration phases a phaseClock accumulates.
+const (
+	clockSpMV = iota
+	clockPrecond
+	clockAllreduce
+)
+
 // phaseClock accumulates the per-iteration phase durations of a traced
 // solve. The zero value is ready; all methods are no-ops on a nil receiver,
 // so the untraced hot path pays exactly one pointer test per phase and never
 // reads the clock.
 type phaseClock struct {
-	spmv, precond, allreduce time.Duration
-	mark                     time.Time
+	d    [3]time.Duration
+	mark time.Time
 }
 
 // start begins timing a phase.
@@ -112,27 +119,12 @@ func (c *phaseClock) start() {
 	c.mark = time.Now()
 }
 
-// stopSpMV/stopPrecond/stopAllreduce end the phase begun by start and
-// accumulate its duration.
-func (c *phaseClock) stopSpMV() {
+// stop ends the phase begun by start and accumulates its duration.
+func (c *phaseClock) stop(phase int) {
 	if c == nil {
 		return
 	}
-	c.spmv += time.Since(c.mark)
-}
-
-func (c *phaseClock) stopPrecond() {
-	if c == nil {
-		return
-	}
-	c.precond += time.Since(c.mark)
-}
-
-func (c *phaseClock) stopAllreduce() {
-	if c == nil {
-		return
-	}
-	c.allreduce += time.Since(c.mark)
+	c.d[phase] += time.Since(c.mark)
 }
 
 // reset clears the accumulators for the next iteration.
@@ -140,7 +132,7 @@ func (c *phaseClock) reset() {
 	if c == nil {
 		return
 	}
-	c.spmv, c.precond, c.allreduce = 0, 0, 0
+	c.d = [3]time.Duration{}
 }
 
 // emit reports the completed iteration to the tracer and resets.
@@ -150,7 +142,7 @@ func (c *phaseClock) emit(tr Tracer, iteration int, rn, rel float64) {
 	}
 	tr.TraceIteration(IterationTrace{
 		Iteration: iteration, Residual: rn, RelResidual: rel,
-		SpMV: c.spmv, Precond: c.precond, Allreduce: c.allreduce,
+		SpMV: c.d[clockSpMV], Precond: c.d[clockPrecond], Allreduce: c.d[clockAllreduce],
 	})
 	c.reset()
 }

@@ -47,9 +47,8 @@ func (e *SDCDetectedError) Is(target error) bool { return target == xerr.DataLos
 // between mutates only u, so any divergence is corruption, not computation.
 type TwinShadow struct {
 	// X, R, Z, P are the shadow copies of the iteration vectors' local
-	// blocks; R0, RZ, Beta the replicated scalars at the snapshot.
-	X, R, Z, P   []float64
-	R0, RZ, Beta float64
+	// blocks.
+	X, R, Z, P []float64
 
 	// scratch and cand are collective work vectors of the twin vote
 	// (candidate residuals, u-tests, recomputed z).
@@ -58,11 +57,10 @@ type TwinShadow struct {
 
 // sync refreshes the shadow from the primary state.
 func (tw *TwinShadow) sync(st *SolverState) {
-	copy(tw.X, st.X.Local)
-	copy(tw.R, st.R.Local)
-	copy(tw.Z, st.Z.Local)
-	copy(tw.P, st.P.Local)
-	tw.R0, tw.RZ, tw.Beta = st.R0, st.RZ, st.Beta
+	copy(tw.X, st.X[0].Local)
+	copy(tw.R, st.R[0].Local)
+	copy(tw.Z, st.Z[0].Local)
+	copy(tw.P, st.P[0].Local)
 }
 
 // checksum64 is a cheap FNV-1a-style digest over the float bit patterns: the
@@ -132,10 +130,13 @@ func NewTwinStrategy(interval int) Strategy {
 func (t *twinStrategy) Name() string { return StrategyTwin }
 
 func (t *twinStrategy) Init(st *SolverState) error {
+	if len(st.X) > 1 {
+		return fmt.Errorf("core: the twin strategy shadows a single column, not %d", len(st.X))
+	}
 	if st.Sched.HasFailStop() && st.A.Ret == nil {
 		return fmt.Errorf("core: twin fail-stop recovery delegates to ESR and needs a resilience-enabled matrix (phi >= 1) to honour a failure schedule")
 	}
-	n := len(st.X.Local)
+	n := len(st.X[0].Local)
 	st.Twin = &TwinShadow{
 		X: make([]float64, n), R: make([]float64, n),
 		Z: make([]float64, n), P: make([]float64, n),
@@ -181,7 +182,7 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	flags := make([]float64, 4+size)
 	diverged := false
 	for i, pair := range [4][2][]float64{
-		{st.X.Local, tw.X}, {st.R.Local, tw.R}, {st.Z.Local, tw.Z}, {st.P.Local, tw.P},
+		{st.X[0].Local, tw.X}, {st.R[0].Local, tw.R}, {st.Z[0].Local, tw.Z}, {st.P[0].Local, tw.P},
 	} {
 		if checksum64(pair[0]) != checksum64(pair[1]) {
 			flags[i] = 1
@@ -213,13 +214,13 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	// the consistency |  ||b - A x|| - ||r||  | and copy the winner forward.
 	// Ties favour the shadow — the replica the injection never touches.
 	if cx+cr > 0 {
-		if err := st.A.Residual(e, tw.scratch, st.B, st.X, -1); err != nil {
+		if err := st.A.Residual(e, tw.scratch, st.B[0], st.X[0], -1); err != nil {
 			return out, err
 		}
 		tp := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
-		rp := vec.ParNrm2SqN(st.R.Local, st.Opts.Threads)
+		rp := vec.ParNrm2SqN(st.R[0].Local, st.Opts.Threads)
 		copy(tw.cand.Local, tw.X)
-		if err := st.A.Residual(e, tw.scratch, st.B, tw.cand, -1); err != nil {
+		if err := st.A.Residual(e, tw.scratch, st.B[0], tw.cand, -1); err != nil {
 			return out, err
 		}
 		ts := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
@@ -233,11 +234,11 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 		e.Grp.Recycle(norms)
 		if !(scoreP < scoreS) {
 			// Shadow wins (NaN scores land here too): copy it forward.
-			copy(st.X.Local, tw.X)
-			copy(st.R.Local, tw.R)
+			copy(st.X[0].Local, tw.X)
+			copy(st.R[0].Local, tw.R)
 		} else {
-			copy(tw.X, st.X.Local)
-			copy(tw.R, st.R.Local)
+			copy(tw.X, st.X[0].Local)
+			copy(tw.R, st.R[0].Local)
 		}
 		out.Corrected += cx + cr
 	}
@@ -246,11 +247,11 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	// is bitwise the fault-free z, because z = M^{-1} r was computed from
 	// this same r at the end of the previous iteration.
 	if cz > 0 {
-		if err := st.M.Apply(e, tw.scratch, st.R); err != nil {
+		if err := st.M.Apply(e, tw.scratch, st.R[0]); err != nil {
 			return out, err
 		}
-		copy(st.Z.Local, tw.scratch.Local)
-		copy(tw.Z, st.Z.Local)
+		copy(st.Z[0].Local, tw.scratch.Local)
+		copy(tw.Z, st.Z[0].Local)
 		out.Corrected += cz
 	}
 
@@ -258,12 +259,12 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	// iteration, before the injection point, so the healthy candidate is the
 	// one with A p == u bitwise.
 	if cp > 0 {
-		okPrimary, err := t.uTest(st, st.P)
+		okPrimary, err := t.uTest(st, st.P[0])
 		if err != nil {
 			return out, err
 		}
 		if okPrimary {
-			copy(tw.P, st.P.Local)
+			copy(tw.P, st.P[0].Local)
 		} else {
 			copy(tw.cand.Local, tw.P)
 			okShadow, err := t.uTest(st, tw.cand)
@@ -274,7 +275,7 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 			// touches it); if even the shadow fails the u-test, u itself is
 			// corrupted (e.g. a corrupted halo wire) and must be redone from
 			// the restored p.
-			copy(st.P.Local, tw.P)
+			copy(st.P[0].Local, tw.P)
 			if !okShadow {
 				out.Redo = true
 			}
@@ -293,7 +294,7 @@ func (t *twinStrategy) uTest(st *SolverState, p distmat.Vector) (bool, error) {
 	}
 	ok := 1.0
 	for i, v := range tw.scratch.Local {
-		if math.Float64bits(v) != math.Float64bits(st.U.Local[i]) {
+		if math.Float64bits(v) != math.Float64bits(st.U[0].Local[i]) {
 			ok = 0
 			break
 		}
@@ -312,19 +313,19 @@ func (t *twinStrategy) uTest(st *SolverState, p distmat.Vector) (bool, error) {
 // as a fresh initial guess. No rollback; ||r0|| (and with it the convergence
 // target) is preserved.
 func (t *twinStrategy) RepairDrift(st *SolverState, j int) error {
-	if err := st.A.Residual(st.E, st.R, st.B, st.X, -1); err != nil {
+	if err := st.A.Residual(st.E, st.R[0], st.B[0], st.X[0], -1); err != nil {
 		return err
 	}
-	if err := st.M.Apply(st.E, st.Z, st.R); err != nil {
+	if err := st.M.Apply(st.E, st.Z[0], st.R[0]); err != nil {
 		return err
 	}
-	vec.Copy(st.P.Local, st.Z.Local)
-	rz, err := distmat.DotN(st.E, st.R, st.Z, st.Opts.Threads)
+	vec.Copy(st.P[0].Local, st.Z[0].Local)
+	rz, err := distmat.DotN(st.E, st.R[0], st.Z[0], st.Opts.Threads)
 	if err != nil {
 		return err
 	}
-	st.RZ = rz
-	st.Beta = 0
+	st.RZ[0] = rz
+	st.Beta[0] = 0
 	st.Twin.sync(st)
 	return nil
 }
@@ -336,13 +337,13 @@ func applyCorruption(st *SolverState, c faults.CorruptionSite) {
 	var v []float64
 	switch c.Target {
 	case faults.TargetX:
-		v = st.X.Local
+		v = st.X[0].Local
 	case faults.TargetR:
-		v = st.R.Local
+		v = st.R[0].Local
 	case faults.TargetP:
-		v = st.P.Local
+		v = st.P[0].Local
 	case faults.TargetZ:
-		v = st.Z.Local
+		v = st.Z[0].Local
 	}
 	if len(v) == 0 {
 		return
@@ -351,24 +352,34 @@ func applyCorruption(st *SolverState, c faults.CorruptionSite) {
 	v[i] = c.Flip(v[i])
 }
 
-// sdcDrift recomputes the true residual and compares it against the
-// recurrence residual (both under one fused allreduce). Collective.
-func sdcDrift(st *SolverState, scratch distmat.Vector) (rtrue, rrec float64, drift bool, err error) {
-	if err = st.A.Residual(st.E, scratch, st.B, st.X, -1); err != nil {
-		return
+// sdcDrift recomputes every column's true residual and its recurrence
+// residual, all under one fused length-2k allreduce. Collective.
+func sdcDrift(st *SolverState, scratch []distmat.Vector) (rtrue, rrec []float64, err error) {
+	if err = st.A.ResidualBlock(st.E, scratch, st.B, st.X, -1); err != nil {
+		return nil, nil, err
 	}
-	norms, aerr := st.E.Grp.Allreduce(cluster.OpSum, []float64{
-		vec.ParNrm2SqN(scratch.Local, st.Opts.Threads),
-		vec.ParNrm2SqN(st.R.Local, st.Opts.Threads)})
-	if aerr != nil {
-		err = aerr
-		return
+	fused := make([]float64, 2*len(scratch))
+	for c := range scratch {
+		fused[2*c] = vec.ParNrm2SqN(scratch[c].Local, st.Opts.Threads)
+		fused[2*c+1] = vec.ParNrm2SqN(st.R[c].Local, st.Opts.Threads)
 	}
-	rtrue = math.Sqrt(norms[0])
-	rrec = math.Sqrt(norms[1])
+	norms, err := st.E.Grp.Allreduce(cluster.OpSum, fused)
+	if err != nil {
+		return nil, nil, err
+	}
+	rtrue = make([]float64, len(scratch))
+	rrec = make([]float64, len(scratch))
+	for c := range scratch {
+		rtrue[c] = math.Sqrt(norms[2*c])
+		rrec[c] = math.Sqrt(norms[2*c+1])
+	}
 	st.E.Grp.Recycle(norms)
-	// Negated comparison: NaN (a corruption that overflowed the state)
-	// counts as drift, not as agreement.
-	drift = !(math.Abs(rtrue-rrec) <= sdcDriftTol*math.Max(st.R0, rtrue))
-	return
+	return rtrue, rrec, nil
+}
+
+// drifted reports whether the true and recurrence residuals disagree beyond
+// sdcDriftTol. Negated comparison: NaN (a corruption that overflowed the
+// state) counts as drift, not as agreement.
+func drifted(rtrue, rrec, r0 float64) bool {
+	return !(math.Abs(rtrue-rrec) <= sdcDriftTol*math.Max(r0, rtrue))
 }

@@ -115,26 +115,31 @@ func TestBatchJobUnderFailures(t *testing.T) {
 	}
 }
 
-// TestBatchJobLoopedFallback covers a strategy the blocked driver does not
-// support: the batch must still complete through looped single-RHS solves.
+// TestBatchJobLoopedFallback covers the blocked/looped split: a twin batch
+// (the shadow replica covers one column) must still complete through looped
+// single-RHS solves, while a checkpoint batch runs blocked.
 func TestBatchJobLoopedFallback(t *testing.T) {
 	e := New(Options{Workers: 1, QueueCap: 4})
 	defer e.Close()
-	spec := tinySpec()
-	spec.Config.Strategy = StrategyCheckpoint
-	spec.RHSBatch = batchRHS(256, 2)
-	spec.KeepSolution = true
-	id, err := e.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	run := func(strategy string) {
+		t.Helper()
+		spec := tinySpec()
+		spec.Config.Strategy = strategy
+		spec.RHSBatch = batchRHS(256, 2)
+		spec.KeepSolution = true
+		id, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitTerminal(t, e, id, 30*time.Second)
+		if st.State != StateDone {
+			t.Fatalf("%s batch job ended %s: %s", strategy, st.State, st.Error)
+		}
+		if len(st.Result.XS) != 2 || !st.Result.Results[1].Converged {
+			t.Fatalf("%s batch result shape: %+v", strategy, st.Result)
+		}
 	}
-	st := waitTerminal(t, e, id, 30*time.Second)
-	if st.State != StateDone {
-		t.Fatalf("fallback batch job ended %s: %s", st.State, st.Error)
-	}
-	if len(st.Result.XS) != 2 || !st.Result.Results[1].Converged {
-		t.Fatalf("fallback batch result shape: %+v", st.Result)
-	}
+	run(StrategyTwin)
 	// The blocked counters must NOT have moved; the batch counter must.
 	snap := e.Metrics().Gather()
 	if v, _ := snap.Value("solver_block_solves_total"); v != 0 {
@@ -142,6 +147,11 @@ func TestBatchJobLoopedFallback(t *testing.T) {
 	}
 	if v, _ := snap.Value("solver_batch_rhs_total"); v != 2 {
 		t.Fatalf("solver_batch_rhs_total = %v, want 2", v)
+	}
+	run(StrategyCheckpoint)
+	snap = e.Metrics().Gather()
+	if v, _ := snap.Value("solver_block_solves_total"); v != 1 {
+		t.Fatalf("solver_block_solves_total = %v after a checkpoint batch, want 1", v)
 	}
 }
 
@@ -223,24 +233,59 @@ func TestBatchSpecValidation(t *testing.T) {
 	}
 }
 
-// TestSolveBlockRejectsUnsupported pins SolveBlock's own guardrails:
-// non-ESR sessions and k=0/edge inputs.
+// TestSolveBlockRejectsUnsupported pins SolveBlock's own guardrails: the
+// restart strategy runs blocked, bitwise equal to looped solves, while twin
+// sessions and k=0/edge inputs are handled up front.
 func TestSolveBlockRejectsUnsupported(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
+	bs := batchRHS(a.Rows, 3)
 	ps, err := Prepare(a, Config{Ranks: 4, Strategy: StrategyRestart})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	if ps.CanSolveBlock(SolveOpts{}) {
-		t.Fatal("CanSolveBlock true on a restart-strategy session")
+	if !ps.CanSolveBlock(SolveOpts{}) {
+		t.Fatal("CanSolveBlock false on a restart-strategy session")
 	}
-	if _, _, err := ps.SolveBlock(context.Background(), batchRHS(a.Rows, 2), SolveOpts{}); err == nil {
-		t.Fatal("SolveBlock accepted a restart-strategy session")
+	sched := faults.NewSchedule(faults.Simultaneous(5, 1))
+	sols, colErrs, err := ps.SolveBlock(context.Background(), bs, SolveOpts{Schedule: sched})
+	if err != nil {
+		t.Fatalf("restart block: %v", err)
 	}
-	sols, colErrs, err := ps.SolveBlock(context.Background(), nil, SolveOpts{})
+	for c := range bs {
+		if colErrs[c] != nil {
+			t.Fatalf("restart block column %d: %v", c, colErrs[c])
+		}
+		solo, err := ps.Solve(context.Background(), bs[c], SolveOpts{Schedule: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := sols[c].Result, solo.Result
+		if got.Iterations != want.Iterations || got.WorkIterations != want.WorkIterations ||
+			len(got.Reconstructions) != len(want.Reconstructions) || !want.Converged {
+			t.Fatalf("restart column %d: blocked %+v, looped %+v", c, got, want)
+		}
+		for i := range solo.X {
+			if math.Float64bits(sols[c].X[i]) != math.Float64bits(solo.X[i]) {
+				t.Fatalf("restart column %d: X[%d] blocked %x, looped %x", c, i, sols[c].X[i], solo.X[i])
+			}
+		}
+	}
+	sols, colErrs, err = ps.SolveBlock(context.Background(), nil, SolveOpts{})
 	if sols != nil || colErrs != nil || err != nil {
 		t.Fatalf("empty batch: %v %v %v", sols, colErrs, err)
+	}
+
+	twin, err := Prepare(a, Config{Ranks: 4, Phi: 1, Strategy: StrategyTwin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if twin.CanSolveBlock(SolveOpts{}) {
+		t.Fatal("CanSolveBlock true on a twin-strategy session")
+	}
+	if _, _, err := twin.SolveBlock(context.Background(), bs, SolveOpts{}); err == nil {
+		t.Fatal("SolveBlock accepted a twin-strategy session")
 	}
 
 	esr, err := Prepare(a, Config{Ranks: 4, Phi: 1})
@@ -248,8 +293,7 @@ func TestSolveBlockRejectsUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer esr.Close()
-	// k == 1 routes through the single-RHS driver and still returns aligned
-	// slices.
+	// k == 1 is the single-RHS solve and still returns aligned slices.
 	sols, colErrs, err = esr.SolveBlock(context.Background(), batchRHS(a.Rows, 1), SolveOpts{})
 	if err != nil || len(sols) != 1 || len(colErrs) != 1 || colErrs[0] != nil {
 		t.Fatalf("k=1 block: sols=%d err=%v", len(sols), err)
@@ -263,8 +307,7 @@ func TestSolveBlockRejectsUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer phi0.Close()
-	sched := faults.NewSchedule(faults.Simultaneous(3, 1))
-	if _, _, err := phi0.SolveBlock(context.Background(), batchRHS(a.Rows, 2), SolveOpts{Schedule: sched}); err == nil {
+	if _, _, err := phi0.SolveBlock(context.Background(), bs, SolveOpts{Schedule: sched}); err == nil {
 		t.Fatal("SolveBlock accepted a schedule on a phi-0 session")
 	}
 }

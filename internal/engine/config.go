@@ -30,9 +30,9 @@ const (
 	PrecondIC0             = "ic0"
 )
 
-// Method names accepted by Config. The empty string selects automatically:
-// plain PCG for failure-free runs without redundancy (phi 0, no schedule),
-// the resilient ESR-PCG otherwise.
+// Method names accepted by Config. The empty string selects the resilient
+// ESR-PCG driver, which is plain PCG for failure-free runs without
+// redundancy (phi 0, no schedule).
 const (
 	MethodAuto   = ""
 	MethodPCG    = "pcg"
@@ -134,8 +134,8 @@ type Config struct {
 	// Method selects the solver: MethodPCG (reference, no failure
 	// tolerance), MethodESRPCG (the paper's resilient solver), MethodSPCG
 	// (the split-preconditioner variant, requires Preconditioner "ic0"), or
-	// MethodAuto ("") which picks PCG for failure-free runs without
-	// redundancy and ESRPCG otherwise.
+	// MethodAuto ("") which runs ESRPCG under the session's strategy
+	// (without redundancy or a schedule, the reference PCG).
 	Method string `json:"method,omitempty"`
 	// Transport selects the cluster communication fabric: TransportChan
 	// (default), TransportFast (zero-copy pooled), TransportChaos

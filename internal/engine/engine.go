@@ -1287,11 +1287,11 @@ func (e *Engine) run(j *job) {
 }
 
 // solveBatch runs one batch job's right-hand sides against the acquired
-// prepared session. When the session supports the blocked multi-RHS driver
-// (ESR strategy, no SPCG) and the resolved block size allows it, the batch
-// is chunked into BlockSize-wide groups solved in lockstep through
-// Prepared.SolveBlock; otherwise the columns are solved one by one through
-// the single-RHS path, bitwise identical either way. Any per-column
+// prepared session. When the resolved block size allows it and
+// Prepared.CanSolveBlock holds (every strategy but twin, no corruption
+// events, no SPCG), the batch is chunked into BlockSize-wide groups solved
+// in lockstep through Prepared.SolveBlock; otherwise the columns are solved
+// one by one through the single-RHS path, bitwise identical either way. Any per-column
 // breakdown fails the whole job, naming the offending columns.
 func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opts SolveOpts, batch [][]float64) (Solution, error) {
 	k := len(batch)

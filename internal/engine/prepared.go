@@ -186,17 +186,36 @@ func (ps *Prepared) newStrategy(rt *cluster.Runtime) (core.Strategy, *checkpoint
 	}
 }
 
-// recordStrategyStats folds one finished solve's strategy observables into
-// the session aggregate and the engine's sink.
-func (ps *Prepared) recordStrategyStats(res core.Result, store *checkpoint.Store, rt *cluster.Runtime) {
-	delta := core.StatsFromResult(res)
-	if store != nil {
-		delta.Checkpoints = int64(store.Checkpoints())
+// recordStrategyStats folds one solve's per-column results into the
+// session aggregate and the engine's sink. Each finished column counts as
+// one solve; a failed column still carries observables — most importantly
+// the SDC counters of a detection-classified failure (the whole point of
+// the detector is that the failure is visible) — and Solves stays 0 for
+// it. The runtime's protection traffic counters are folded once, and only
+// for a solve that ran to the end (ran).
+func (ps *Prepared) recordStrategyStats(results []core.Result, colErrs []error, ran bool, store *checkpoint.Store, rt *cluster.Runtime) {
+	var delta core.StrategyStats
+	for c, res := range results {
+		if ran && colErrs[c] == nil {
+			delta.Add(core.StatsFromResult(res))
+			continue
+		}
+		delta.SDCInjected += int64(res.SDCInjected)
+		delta.SDCDetected += int64(res.SDCDetected)
+		delta.SDCCorrected += int64(res.SDCCorrected)
 	}
-	ctrs := rt.Counters()
-	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
-	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
-	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
+	if ran {
+		if store != nil {
+			delta.Checkpoints = int64(store.Checkpoints())
+		}
+		ctrs := rt.Counters()
+		delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
+		delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
+		delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
+	}
+	if delta == (core.StrategyStats{}) {
+		return
+	}
 	ps.mu.Lock()
 	ps.sstats.Add(delta)
 	ps.mu.Unlock()
@@ -346,27 +365,18 @@ func (ps *Prepared) SetOverlap(on bool) {
 }
 
 // method resolves the solver for one Solve call: a per-solve override wins
-// over the session's configured method; MethodAuto keeps the historical
-// behaviour (plain PCG when there is neither redundancy nor a schedule,
-// ESR-PCG otherwise). Errors report an unknown name, SPCG on a session
-// without the split factors, or PCG with a failure schedule.
+// over the session's configured method. PCG and ESR-PCG both run the
+// resilient driver under the session's strategy — the reference PCG is the
+// ESR strategy with an empty schedule — so MethodAuto resolves to ESR-PCG;
+// MethodPCG only adds its guardrails. Errors report an unknown name, SPCG
+// on a session without the split factors, or PCG with a failure schedule.
 func (ps *Prepared) method(opts SolveOpts) (string, error) {
 	m := opts.Method
 	if m == MethodAuto {
 		m = ps.cfg.Method
 	}
 	switch m {
-	case MethodAuto:
-		if ps.cfg.Strategy == StrategyESR && ps.cfg.Phi == 0 && opts.Schedule.Empty() &&
-			ps.cfg.SDCCheckInterval == 0 {
-			// Nothing for the resilient driver to do: no redundancy, no
-			// failures, no SDC check, and the ESR strategy adds no
-			// steady-state work. Non-ESR strategies always take the driver
-			// so their overhead (periodic checkpoints, twin comparisons) is
-			// exercised and measurable even on failure-free solves; an armed
-			// SDC check needs the driver because only it runs the check.
-			return MethodPCG, nil
-		}
+	case MethodAuto, MethodESRPCG:
 		return MethodESRPCG, nil
 	case MethodPCG:
 		if !opts.Schedule.Empty() {
@@ -377,8 +387,6 @@ func (ps *Prepared) method(opts SolveOpts) (string, error) {
 			return "", fmt.Errorf("engine: method %q is the strategy-free reference solver; use %q or %q with strategy %q",
 				MethodPCG, MethodAuto, MethodESRPCG, ps.cfg.Strategy)
 		}
-		return m, nil
-	case MethodESRPCG:
 		return m, nil
 	case MethodSPCG:
 		if ps.cfg.Strategy != StrategyESR {
@@ -400,7 +408,7 @@ func (ps *Prepared) method(opts SolveOpts) (string, error) {
 // partition and the factored preconditioners are shared read-only.
 // Cancelling ctx aborts only this solve's runtime.
 func (ps *Prepared) Solve(ctx context.Context, b []float64, opts SolveOpts) (Solution, error) {
-	return ps.solveOn(ctx, nil, nil, b, opts)
+	return ps.solveOne(ctx, nil, nil, b, opts)
 }
 
 // SolveOn runs one solve on a caller-provided runtime, driving only the
@@ -427,18 +435,37 @@ func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		// store) inside one process; they cannot span a mesh.
 		return Solution{}, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, ps.cfg.Strategy)
 	}
-	return ps.solveOn(ctx, rt, localRanks, b, opts)
+	return ps.solveOne(ctx, rt, localRanks, b, opts)
 }
 
-// solveOn is the shared body of Solve and SolveOn. A nil rt means "build a
-// fresh single-process runtime over the session's transport" (the Solve
-// path, which then owns the transport); localRanks nil means all ranks.
-func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
-	if len(b) != ps.n {
-		return Solution{}, fmt.Errorf("esr: rhs length %d != %d", len(b), ps.n)
+// solveOne is the k = 1 case of solve: the column's error is the solve's.
+func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
+	sols, colErrs, err := ps.solve(ctx, rt, localRanks, [][]float64{b}, opts)
+	if err == nil {
+		err = colErrs[0]
+	}
+	if err != nil {
+		return Solution{}, err
+	}
+	return sols[0], nil
+}
+
+// solve is the one solve body of Solve, SolveOn and SolveBlock: the k
+// systems A x[c] = bs[c] in lockstep through core.ResilientPCG (SPCG solves
+// its single column through core.SPCG). A nil rt means "build a fresh
+// single-process runtime over the session's transport" (which the solve
+// then owns); localRanks nil means all ranks. colErrs[c] reports a
+// per-column failure (its Solution is zero-valued); the error return is a
+// global failure aborting every column.
+func (ps *Prepared) solve(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
+	k := len(bs)
+	for _, b := range bs {
+		if len(b) != ps.n {
+			return nil, nil, fmt.Errorf("esr: rhs length %d != %d", len(b), ps.n)
+		}
 	}
 	if err := opts.Schedule.Validate(ps.cfg.Ranks); err != nil {
-		return Solution{}, err
+		return nil, nil, err
 	}
 	if opts.Schedule.HasFailStop() && ps.cfg.Phi == 0 &&
 		(ps.cfg.Strategy == StrategyESR || ps.cfg.Strategy == StrategyTwin) {
@@ -447,18 +474,22 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		// reconstruction needs redundancy (the twin strategy delegates its
 		// fail-stop recovery to it); checkpoint/restart roll back without
 		// it, and corruption-only schedules never lose a node's state.
-		return Solution{}, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
+		return nil, nil, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
 	}
 	method, err := ps.method(opts)
 	if err != nil {
-		return Solution{}, err
+		return nil, nil, err
+	}
+	if k > 1 && !ps.CanSolveBlock(opts) {
+		return nil, nil, fmt.Errorf("esr: blocked solves exclude the %q strategy, corruption events, %q and Resume (use looped per-column solves)",
+			StrategyTwin, MethodSPCG)
 	}
 
 	ownsRT := rt == nil
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
-		return Solution{}, ErrPreparedClosed
+		return nil, nil, ErrPreparedClosed
 	}
 	if ownsRT {
 		rt = cluster.New(ps.cfg.Ranks, cluster.WithTransport(ps.newTransport()))
@@ -489,7 +520,9 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	strat, store := ps.newStrategy(rt)
 
 	var mu sync.Mutex
-	sol := Solution{X: make([]float64, ps.n)}
+	sols := make([]Solution, k)
+	results := make([]core.Result, k)
+	colErrs := make([]error, k)
 	err = rt.RunLocalContext(ctx, localRanks, func(c *cluster.Comm) error {
 		pr := ps.prep[c.Rank()]
 		e := distmat.WorldEnv(c)
@@ -499,8 +532,12 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			// efficiency is a per-rank quantity.
 			m.SetMatVecObserver(ps.matvecSink)
 		}
-		bv := distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), b[pr.lo:pr.hi]...)}
-		x := distmat.NewVector(ps.part, e.Pos)
+		B := make([]distmat.Vector, k)
+		X := make([]distmat.Vector, k)
+		for col := range bs {
+			B[col] = distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), bs[col][pr.lo:pr.hi]...)}
+			X[col] = distmat.NewVector(ps.part, e.Pos)
+		}
 		copts := core.Options{Tol: opts.Tol, MaxIter: opts.MaxIter, LocalTol: opts.LocalTol,
 			Threads: ps.cfg.Threads, Ctx: ctx, SDCCheck: ps.cfg.SDCCheckInterval,
 			OnFailure: opts.OnFailure, Resume: opts.Resume}
@@ -508,73 +545,59 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			copts.Progress = opts.Progress
 			copts.Tracer = opts.Tracer
 		}
-		var res core.Result
+		var res []core.Result
+		var errsPerCol []error
 		var err error
-		switch method {
-		case MethodPCG:
-			res, err = core.PCG(e, m, x, bv, pr.prec, copts)
-		case MethodSPCG:
-			res, err = core.SPCG(e, m, x, bv, pr.split, copts, opts.Schedule)
-		default:
-			res, err = core.ResilientPCG(e, m, x, bv, pr.prec, copts, opts.Schedule, strat)
+		if method == MethodSPCG {
+			res, errsPerCol = make([]core.Result, 1), make([]error, 1)
+			res[0], err = core.SPCG(e, m, X[0], B[0], pr.split, copts, opts.Schedule)
+		} else {
+			res, errsPerCol, err = core.ResilientPCG(e, m, X, B, pr.prec, copts, opts.Schedule, strat)
+		}
+		if c.Rank() == localRanks[0] {
+			// Column errors derive from deterministic fused-allreduce
+			// results, so every rank holds the same ones; results are
+			// kept even for a failed solve, whose SDC counters still count.
+			mu.Lock()
+			copy(results, res)
+			copy(colErrs, errsPerCol)
+			mu.Unlock()
 		}
 		if err != nil {
+			return err
+		}
+		for col := range bs {
+			// The gather is collective; every rank skips the same failed
+			// columns.
+			if errsPerCol[col] != nil {
+				continue
+			}
+			full, err := distmat.Gather(e, X[col])
+			if err != nil {
+				return err
+			}
 			if c.Rank() == 0 {
-				// A failed solve still carries observables — most importantly
-				// the SDC counters of a detection-classified failure (the
-				// whole point of the detector is that the failure is visible).
 				mu.Lock()
-				sol.Result = res
+				sols[col] = Solution{X: full, Result: res[col]}
 				mu.Unlock()
 			}
-			return err
-		}
-		full, err := distmat.Gather(e, x)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			copy(sol.X, full)
-			sol.Result = res
-			mu.Unlock()
 		}
 		return nil
 	})
-	if err != nil {
-		if errors.Is(err, ErrPreparedClosed) {
-			// Close aborted this solve's runtime; surface the session error,
-			// not a wrapped per-rank abort.
-			return Solution{}, ErrPreparedClosed
-		}
-		if hasRank0 {
-			// Fold the SDC counters of the failed solve into the session
-			// aggregate (Solves stays 0 — nothing finished), so a detected
-			// corruption shows up in the strategy gauges even though the
-			// solve was classified as failed.
-			r := sol.Result
-			if r.SDCInjected+r.SDCDetected+r.SDCCorrected > 0 {
-				delta := core.StrategyStats{
-					SDCInjected:  int64(r.SDCInjected),
-					SDCDetected:  int64(r.SDCDetected),
-					SDCCorrected: int64(r.SDCCorrected),
-				}
-				ps.mu.Lock()
-				ps.sstats.Add(delta)
-				ps.mu.Unlock()
-				if ps.strategySink != nil {
-					ps.strategySink(ps.cfg.Strategy, delta)
-				}
-			}
-		}
-		return Solution{}, err
+	if errors.Is(err, ErrPreparedClosed) {
+		// Close aborted this solve's runtime; surface the session error,
+		// not a wrapped per-rank abort.
+		return nil, nil, ErrPreparedClosed
 	}
 	if hasRank0 {
-		// The result-borne strategy stats live on rank 0's Result; processes
-		// hosting only other ranks would fold in zeros.
-		ps.recordStrategyStats(sol.Result, store, rt)
+		// The result-borne strategy stats live on rank 0's Results;
+		// processes hosting only other ranks would fold in zeros.
+		ps.recordStrategyStats(results, colErrs, err == nil, store, rt)
 	}
-	return sol, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return sols, colErrs, nil
 }
 
 // Close tears the session down: subsequent Solve calls fail with

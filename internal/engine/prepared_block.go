@@ -2,13 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/distmat"
 )
 
 // ValidateBatch fail-fast checks every column of bs against the prepared
@@ -20,169 +13,40 @@ func (ps *Prepared) ValidateBatch(bs [][]float64) error {
 }
 
 // CanSolveBlock reports whether a batch with these per-solve options can run
-// through the blocked multi-RHS path on this session. The blocked driver is
-// the ESR-PCG recurrence generalized to k columns: the rollback strategies
-// (checkpoint/restart) and the split-preconditioner SPCG method keep their
-// single-RHS drivers, so batches on such sessions fall back to looped
-// per-column solves.
-// The silent-data-corruption machinery (twin strategy, armed SDC check,
-// corruption events in the schedule) likewise lives in the single-RHS driver
-// only, so such batches fall back to looped solves too.
+// through the blocked multi-RHS path on this session. The blocked path is
+// the one resilient PCG driver at k columns, so every strategy but twin runs
+// it, with or without an armed SDC check. Four cases fall back to looped
+// per-column solves: the twin strategy (its shadow replica covers a single
+// column), corruption events in the schedule (a corruption site names no
+// column), the split-preconditioner SPCG method (its own single-column
+// driver) and Resume (a replacement rank joins one solve's episode).
 func (ps *Prepared) CanSolveBlock(opts SolveOpts) bool {
-	if ps.cfg.Strategy != StrategyESR || opts.Resume != nil {
-		return false
-	}
-	if ps.cfg.SDCCheckInterval != 0 || opts.Schedule.HasCorruption() {
+	if ps.cfg.Strategy == StrategyTwin || opts.Schedule.HasCorruption() || opts.Resume != nil {
 		return false
 	}
 	m, err := ps.method(opts)
 	return err == nil && m != MethodSPCG
 }
 
-// recordBlockStrategyStats folds one blocked solve's k per-column results
-// into the session aggregate and the engine's sink: each column counts as
-// one solve (matching the looped path), while the runtime's protection
-// traffic counters are folded exactly once — the block shares them.
-func (ps *Prepared) recordBlockStrategyStats(results []core.Result, rt *cluster.Runtime) {
-	var delta core.StrategyStats
-	for _, res := range results {
-		delta.Add(core.StatsFromResult(res))
-	}
-	ctrs := rt.Counters()
-	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
-	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
-	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
-	ps.mu.Lock()
-	ps.sstats.Add(delta)
-	ps.mu.Unlock()
-	if ps.strategySink != nil {
-		ps.strategySink(ps.cfg.Strategy, delta)
-	}
-}
-
 // SolveBlock solves the k systems A x[c] = bs[c] in lockstep against the
 // prepared state: one k-column SpMM, one k-strided halo frame per neighbor
-// and fused length-k allreduces per iteration, with ESR recovery
-// reconstructing all k columns of a lost block in one episode. Column c of
+// and fused length-k allreduces per iteration, with one recovery episode
+// (reconstruction, rollback or restart) covering all k columns. Column c of
 // the returned solutions is bitwise identical to Solve(ctx, bs[c], opts) on
 // every transport, including under a failure schedule.
 //
 // The returned slices are aligned with bs: colErrs[c] reports a per-column
-// breakdown or divergence (the corresponding Solution is zero-valued); the
-// error return reports a global failure (communication, cancellation,
-// unrecoverable data loss) aborting the whole block. Like Solve, it is safe
-// for concurrent use; use CanSolveBlock to decide between this path and
-// looped per-column solves.
+// breakdown, divergence or detected corruption (the corresponding Solution
+// is zero-valued); the error return reports a global failure
+// (communication, cancellation, unrecoverable data loss) aborting the whole
+// block. Like Solve, it is safe for concurrent use; use CanSolveBlock to
+// decide between this path and looped per-column solves.
 func (ps *Prepared) SolveBlock(ctx context.Context, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
-	k := len(bs)
-	if k == 0 {
+	if len(bs) == 0 {
 		return nil, nil, nil
 	}
 	if err := validateBatch(bs, ps.n); err != nil {
 		return nil, nil, err
 	}
-	if err := opts.Schedule.Validate(ps.cfg.Ranks); err != nil {
-		return nil, nil, err
-	}
-	if opts.Schedule.HasFailStop() && ps.cfg.Phi == 0 {
-		return nil, nil, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
-	}
-	if !ps.CanSolveBlock(opts) {
-		if _, err := ps.method(opts); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("esr: blocked solves support only the %q strategy without SPCG or Resume (use looped per-column solves)", StrategyESR)
-	}
-	if k == 1 {
-		// A width-1 block is wire- and bit-identical to a single solve; route
-		// it through the single-RHS driver directly.
-		sol, err := ps.solveOn(ctx, nil, nil, bs[0], opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []Solution{sol}, []error{nil}, nil
-	}
-
-	ps.mu.Lock()
-	if ps.closed {
-		ps.mu.Unlock()
-		return nil, nil, ErrPreparedClosed
-	}
-	rt := cluster.New(ps.cfg.Ranks, cluster.WithTransport(ps.newTransport()))
-	ps.active[rt] = struct{}{}
-	ps.wg.Add(1)
-	ps.mu.Unlock()
-	defer func() {
-		ps.recordStats(rt, true)
-		ps.mu.Lock()
-		delete(ps.active, rt)
-		ps.mu.Unlock()
-		ps.wg.Done()
-	}()
-
-	var mu sync.Mutex
-	sols := make([]Solution, k)
-	colErrs := make([]error, k)
-	err := rt.RunContext(ctx, func(c *cluster.Comm) error {
-		pr := ps.prep[c.Rank()]
-		e := distmat.WorldEnv(c)
-		m := pr.m.Fork()
-		m.SetBlockWidth(k)
-		if ps.matvecSink != nil {
-			m.SetMatVecObserver(ps.matvecSink)
-		}
-		B := make([]distmat.Vector, k)
-		X := make([]distmat.Vector, k)
-		for col := 0; col < k; col++ {
-			B[col] = distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), bs[col][pr.lo:pr.hi]...)}
-			X[col] = distmat.NewVector(ps.part, e.Pos)
-		}
-		copts := core.Options{Tol: opts.Tol, MaxIter: opts.MaxIter, LocalTol: opts.LocalTol,
-			Threads: ps.cfg.Threads, Ctx: ctx, OnFailure: opts.OnFailure}
-		if c.Rank() == 0 {
-			copts.Progress = opts.Progress
-			copts.Tracer = opts.Tracer
-		}
-		results, errsPerCol, err := core.BlockESRPCG(e, m, X, B, pr.prec, copts, opts.Schedule)
-		if err != nil {
-			return err
-		}
-		for col := 0; col < k; col++ {
-			// The gather is collective; per-column errors are derived from
-			// deterministic fused-allreduce results, so every rank skips (and
-			// gathers) the same columns.
-			if errsPerCol[col] != nil {
-				continue
-			}
-			full, err := distmat.Gather(e, X[col])
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				sols[col] = Solution{X: full, Result: results[col]}
-				mu.Unlock()
-			}
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			copy(colErrs, errsPerCol)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrPreparedClosed) {
-			return nil, nil, ErrPreparedClosed
-		}
-		return nil, nil, err
-	}
-	var okResults []core.Result
-	for col := 0; col < k; col++ {
-		if colErrs[col] == nil {
-			okResults = append(okResults, sols[col].Result)
-		}
-	}
-	ps.recordBlockStrategyStats(okResults, rt)
-	return sols, colErrs, nil
+	return ps.solve(ctx, nil, nil, bs, opts)
 }

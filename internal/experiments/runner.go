@@ -119,7 +119,8 @@ func rhsFor(lo, hi int) []float64 {
 // SolveOnce runs one distributed solve of A x = b on a fresh cluster with
 // the given redundancy level and failure schedule (nil for none) and returns
 // the rank-0 measurement. phi = 0 with a nil schedule runs the plain
-// non-resilient PCG (the reference t0 of Table 2).
+// non-resilient PCG — the ESR strategy with nothing to protect (the
+// reference t0 of Table 2).
 func SolveOnce(a *sparse.CSR, ranks, phi int, sched *faults.Schedule, tol, localTol float64) (Measurement, error) {
 	rt := cluster.New(ranks)
 	p := partition.NewBlockRow(a.Rows, ranks)
@@ -144,15 +145,14 @@ func SolveOnce(a *sparse.CSR, ranks, phi int, sched *faults.Schedule, tol, local
 		b := distmat.Vector{P: p, Pos: e.Pos, Local: rhsFor(lo, hi)}
 		x := distmat.NewVector(p, e.Pos)
 		opts := core.Options{Tol: tol, LocalTol: localTol}
-		var res core.Result
-		if phi == 0 && sched.Empty() {
-			res, err = core.PCG(e, m, x, b, prec, opts)
-		} else {
-			res, err = core.ESRPCG(e, m, x, b, prec, opts, sched)
+		rs, errs, err := core.ResilientPCG(e, m, []distmat.Vector{x}, []distmat.Vector{b}, prec, opts, sched, core.NewESRStrategy())
+		if err == nil {
+			err = errs[0]
 		}
 		if err != nil {
 			return err
 		}
+		res := rs[0]
 		if c.Rank() == 0 {
 			mu.Lock()
 			meas = Measurement{

@@ -98,7 +98,11 @@ func SolveStrategyOnce(a *sparse.CSR, ranks, phi int, sched *faults.Schedule, st
 		b := distmat.Vector{P: p, Pos: e.Pos, Local: rhsFor(lo, hi)}
 		x := distmat.NewVector(p, e.Pos)
 		opts := core.Options{Tol: tol, LocalTol: localTol, SDCCheck: sdcCheck}
-		res, err := core.ResilientPCG(e, m, x, b, prec, opts, sched, strat)
+		rs, errs, err := core.ResilientPCG(e, m, []distmat.Vector{x}, []distmat.Vector{b}, prec, opts, sched, strat)
+		if err == nil {
+			err = errs[0]
+		}
+		res := rs[0]
 		if c.Rank() == 0 {
 			// Captured even when the solve errored: a drift-detection
 			// failure still carries the SDC counters this comparison is

@@ -98,8 +98,8 @@ type Method string
 
 // The available solver methods.
 const (
-	// AutoMethod (the default) picks PCG for failure-free runs without
-	// redundancy and ESRPCG otherwise.
+	// AutoMethod (the default) runs ESRPCG under the session's strategy;
+	// without redundancy or a schedule that is the reference PCG.
 	AutoMethod Method = engine.MethodAuto
 	// PCG is the reference parallel PCG (paper Alg. 1), without failure
 	// tolerance.

@@ -132,14 +132,16 @@ func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Soluti
 }
 
 // SolveBatch solves one system per right-hand side, reusing the prepared
-// session state for all of them. On ESR sessions the batch is chunked into
-// WithBlockSize-wide groups solved in lockstep through the blocked multi-RHS
-// driver — one fused k-column SpMM, k-strided halo frames and length-k
-// allreduces per iteration — which is the throughput path for many
-// right-hand sides (see BenchmarkSolveBatch); column c of a blocked group is
-// bitwise identical to Solve(ctx, bs[c]). Sessions the blocked driver does
-// not cover (checkpoint/restart strategies, SPCG, Resume) fall back to
-// concurrent looped single-RHS solves, also bit-identical.
+// session state for all of them. The batch is chunked into
+// WithBlockSize-wide groups solved in lockstep by the resilient PCG driver
+// at k columns — one fused k-column SpMM, k-strided halo frames and
+// length-k allreduces per iteration, one recovery episode per failure under
+// the esr, checkpoint and restart strategies, with or without an SDC check
+// — which is the throughput path for many right-hand sides (see
+// BenchmarkSolveBatch); column c of a blocked group is bitwise identical to
+// Solve(ctx, bs[c]). The twin strategy, schedules with corruption events
+// and SPCG fall back to concurrent looped single-RHS solves, also
+// bit-identical.
 //
 // The whole batch is validated before any solve launches: a column with the
 // wrong length or a non-finite element fails fast with a typed
